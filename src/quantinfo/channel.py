@@ -14,13 +14,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .probability import (
+    _conditional_entropy,
+    _entropy,
+    _mutual_information,
     as_distribution,
     as_joint_distribution,
-    conditional_entropy,
-    mutual_information,
-    shannon_entropy,
 )
 from .quantum import (
+    _spectrum,
     EIGENVALUE_TOL,
     HERMITIAN_TOL,
     as_density,
@@ -28,7 +29,6 @@ from .quantum import (
     basis_projectors,
     bloch_vector,
     pure_state,
-    random_basis,
     random_density,
     spin_basis,
     von_neumann_entropy,
@@ -127,29 +127,28 @@ def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
     for weight, rho in zip(ensemble.priors, ensemble.states):
         outcome_probs = np.array(
             [np.einsum("ij,ji->", rho, e).real for e in povm])
-        if np.any(outcome_probs < -EIGENVALUE_TOL):
-            raise ValidationError("measurement produced a negative outcome weight")
-        outcome_probs[outcome_probs < 0.0] = 0.0
-        rows.append(weight * outcome_probs / outcome_probs.sum())
+        # effects sum to I only within HERMITIAN_TOL: rescale before the sum window
+        rows.append(weight * as_distribution(
+            outcome_probs / outcome_probs.sum(), entry_tol=EIGENVALUE_TOL))
     return as_joint_distribution(np.array(rows), entry_tol=0.0)
 
 
 def measured_information(ensemble: CqEnsemble, effects) -> float:
     """Mutual information between the stored letter and the readout outcome."""
-    return mutual_information(joint_distribution(ensemble, effects))
+    return _mutual_information(joint_distribution(ensemble, effects))
 
 
 def holevo_chi(ensemble: CqEnsemble) -> float:
     """S(average state) - sum_a p_a S(rho_a): the readout information ceiling."""
     chi = von_neumann_entropy(ensemble.average_state())
     for weight, rho in zip(ensemble.priors, ensemble.states):
-        chi -= weight * von_neumann_entropy(rho)
+        chi -= weight * _entropy(_spectrum(rho))
     return float(chi)
 
 
 def specification_information(ensemble: CqEnsemble) -> float:
     """Shannon entropy of the priors: bits needed to specify the prepared letter."""
-    return shannon_entropy(ensemble.priors)
+    return _entropy(ensemble.priors)
 
 
 def accessible_information(
@@ -195,10 +194,10 @@ def wrong_basis_demo(theta: float, priors=(0.5, 0.5)) -> WrongBasisReport:
     joint = joint_distribution(ensemble, effects)
     return WrongBasisReport(
         joint=joint,
-        source_entropy=shannon_entropy(dist),
-        outcome_entropy=shannon_entropy(joint.sum(axis=0)),
-        conditional=conditional_entropy(joint),
-        mutual=mutual_information(joint),
+        source_entropy=_entropy(dist),
+        outcome_entropy=_entropy(joint.sum(axis=0)),
+        conditional=_conditional_entropy(joint),
+        mutual=_mutual_information(joint),
     )
 
 
@@ -314,12 +313,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int
         conditional = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
         conditional = np.clip(conditional, 0.0, None)
         conditional /= conditional.sum(axis=1, keepdims=True)
-        joint = priors[:, None] * conditional
-        outcome = joint.sum(axis=0)
-        h_outcome = shannon_entropy(outcome)
-        h_conditional = sum(
-            float(p) * shannon_entropy(row) for p, row in zip(priors, conditional))
-        return h_outcome - h_conditional
+        return _mutual_information((priors[:, None] * conditional).T)
 
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     best_value = -np.inf

@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON object")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="comparison tolerance (default 1e-9)")
+    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_tol.add_argument("--tol", type=float, default=1e-9,
+                          help="comparison tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("entropy", parents=[common],
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arguments(p)
     p.set_defaults(handler=_cmd_itot)
 
-    p = sub.add_parser("mub-verify", parents=[common],
+    p = sub.add_parser("mub-verify", parents=[with_tol],
                        help="build a complete MUB set and verify it exhaustively")
     p.add_argument("--dim", type=int, required=True, help="2 or an odd prime")
     p.set_defaults(handler=_cmd_mub_verify)
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arguments(p)
     p.set_defaults(handler=_cmd_mub_sum)
 
-    p = sub.add_parser("reconstruct", parents=[common],
+    p = sub.add_parser("reconstruct", parents=[with_tol],
                        help="rebuild a state from MUB outcome statistics")
     p.add_argument("--probs", required=True,
                    help="n+1 outcome distributions, semicolon-separated, e.g. '0.7,0.3;0.65,0.35;0.5,0.5'")
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="questions per symbol on blocks of this length (default 1)")
     p.set_defaults(handler=_cmd_questions)
 
-    p = sub.add_parser("majorize", parents=[common],
+    p = sub.add_parser("majorize", parents=[with_tol],
                        help="does distribution p majorize distribution q?")
     p.add_argument("--p", required=True, help="comma-separated probabilities")
     p.add_argument("--q", required=True, help="comma-separated probabilities")
@@ -187,15 +188,14 @@ def _matrix_lines(matrix: np.ndarray) -> list[str]:
 def _cmd_entropy(args):
     dist = _cli_distribution(args.dist)
     value = probability.shannon_entropy(dist)
-    payload = {"command": "entropy", "dist": dist, "tol": args.tol, "entropy_bits": value}
+    payload = {"command": "entropy", "dist": dist, "entropy_bits": value}
     return payload, [f"H = {value:.6f} bits"], 0
 
 
 def _cmd_bzinfo(args):
     dist = _cli_distribution(args.dist)
     value = probability.quadratic_information(dist, norm=args.norm)
-    payload = {"command": "bzinfo", "dist": dist, "norm": args.norm,
-               "tol": args.tol, "information": value}
+    payload = {"command": "bzinfo", "dist": dist, "norm": args.norm, "information": value}
     return payload, [f"I = {value:.6f}"], 0
 
 
@@ -203,8 +203,7 @@ def _cmd_grouping(args):
     dist = _cli_distribution(args.dist)
     residual = probability.grouping_residual(dist)
     full = probability.shannon_entropy(dist)
-    payload = {"command": "grouping", "dist": dist, "tol": args.tol,
-               "entropy_bits": full, "residual": residual}
+    payload = {"command": "grouping", "dist": dist, "entropy_bits": full, "residual": residual}
     return payload, [
         f"H = {full:.6f} bits",
         f"grouping residual = {residual:.3e}",
@@ -215,7 +214,7 @@ def _cmd_itot(args):
     rho = _resolve_state(args)
     value = quantum.total_information(rho)
     pure = quantum.purity(rho)
-    payload = {"command": "itot", "state": state_to_json(rho), "tol": args.tol,
+    payload = {"command": "itot", "state": state_to_json(rho),
                "purity": pure, "total_information": value}
     return payload, [
         f"dim = {rho.shape[0]}",
@@ -256,8 +255,8 @@ def _cmd_mub_sum(args):
                  for u in bases]
     total = mub.information_sum(rho, bases)
     direct = quantum.total_information(rho)
-    payload = {"command": "mub-sum", "state": state_to_json(rho), "tol": args.tol,
-               "per_basis": per_basis, "sum": total, "direct": direct,
+    payload = {"command": "mub-sum", "state": state_to_json(rho), "per_basis": per_basis,
+               "sum": total, "direct": direct,
                "difference": abs(total - direct)}
     lines = [f"basis {i}: I = {v:.6f}" for i, v in enumerate(per_basis)]
     lines += [
@@ -291,8 +290,8 @@ def _cmd_holevo(args):
     chi = channel.holevo_chi(ensemble)
     spec_info = channel.specification_information(ensemble)
     payload = {"command": "holevo", "ensemble": args.ensemble,
-               "letters": list(ensemble.letters), "tol": args.tol,
-               "holevo_chi": chi, "specification_information": spec_info}
+               "letters": list(ensemble.letters), "holevo_chi": chi,
+               "specification_information": spec_info}
     return payload, [
         f"letters: {', '.join(ensemble.letters)} (dim {ensemble.dim})",
         f"specification information = {spec_info:.6f} bits",
@@ -307,8 +306,7 @@ def _cmd_accessible(args):
     chi = channel.holevo_chi(ensemble)
     payload = {"command": "accessible", "ensemble": args.ensemble,
                "seed": args.seed, "restarts": args.restarts, "steps": args.steps,
-               "tol": args.tol, "method": found.method,
-               "accessible_information": found.value, "holevo_chi": chi,
+               "method": found.method, "accessible_information": found.value, "holevo_chi": chi,
                "gap": chi - found.value,
                "effects": [state_to_json(e) for e in found.effects]}
     lines = [
@@ -323,7 +321,6 @@ def _cmd_wrongbasis(args):
     priors = _cli_distribution(args.priors, "priors")
     report = channel.wrong_basis_demo(args.theta, priors)
     payload = {"command": "wrongbasis", "theta": args.theta, "priors": priors,
-               "tol": args.tol,
                "joint": [list(map(float, row)) for row in report.joint],
                "source_entropy": report.source_entropy,
                "outcome_entropy": report.outcome_entropy,
@@ -342,8 +339,7 @@ def _cmd_coding(args):
     dist = _cli_distribution(args.dist)
     report = coding.typical_set(dist, args.block, args.epsilon)
     payload = {"command": "coding", "dist": dist, "block": args.block,
-               "epsilon": args.epsilon, "tol": args.tol,
-               "count": report.count, "rate": report.rate,
+               "epsilon": args.epsilon, "count": report.count, "rate": report.rate,
                "total_probability": report.total_probability}
     lines = [
         f"typical sequences: {report.count}",
@@ -361,7 +357,7 @@ def _cmd_questions(args):
     if args.block == 1:
         code = coding.question_strategy(dist)
         kraft = sum(2.0 ** -length for length in code.lengths)
-        payload = {"command": "questions", "dist": dist, "block": 1, "tol": args.tol,
+        payload = {"command": "questions", "dist": dist, "block": 1,
                    "lengths": list(code.lengths), "codewords": list(code.codewords),
                    "average_length": code.average_length, "entropy_bits": entropy,
                    "kraft_sum": kraft}
@@ -375,7 +371,7 @@ def _cmd_questions(args):
         return payload, lines, 0
     rate = coding.block_question_rate(dist, args.block)
     payload = {"command": "questions", "dist": dist, "block": args.block,
-               "tol": args.tol, "rate": rate, "entropy_bits": entropy}
+               "rate": rate, "entropy_bits": entropy}
     lines = [
         f"questions per symbol on blocks of {args.block} = {rate:.6f}",
         f"entropy = {entropy:.6f} bits (window [H, H + 1/{args.block}))",
@@ -415,8 +411,7 @@ def _cmd_entangle(args):
             raise ValidationError("entangle expects a two-qubit (4x4) state")
         source = {"state_file": args.state}
     split = entangle.info_split(rho)
-    payload = {"command": "entangle", **source, "tol": args.tol,
-               "state": state_to_json(rho),
+    payload = {"command": "entangle", **source, "state": state_to_json(rho),
                "individual": split.individual, "correlation": split.correlation,
                "individual_terms": [[label, value] for label, value in split.individual_terms],
                "correlation_terms": [[label, value] for label, value in split.correlation_terms]}
@@ -432,10 +427,13 @@ def _cmd_entangle(args):
 def _cmd_selftest(args):
     results = selftest.run_all()
     passed = all(r.passed for r in results)
-    payload = {"command": "selftest", "tol": args.tol,
-               "passed": passed,
+    payload = {"command": "selftest", "passed": passed,
                "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                           for r in results]}
     lines = [selftest.format_line(r) for r in results]
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return payload, lines, 0 if passed else 1
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import as_distribution, shannon_entropy
+from .probability import _entropy, as_distribution
 
 ENUMERATION_CAP = 2 ** 24  # desk-scale tool, not a production compressor
 
@@ -64,7 +64,7 @@ def typical_set(p, block_length: int, epsilon: float, cap: int = ENUMERATION_CAP
     if n ** block_length > cap:
         raise ValidationError(
             f"{n}^{block_length} sequences exceed the enumeration cap {cap}")
-    entropy = shannon_entropy(probs)
+    entropy = _entropy(probs)
     count = 0
     total = 0.0
     for counts in _compositions(block_length, n):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import quadratic_information
 from .quantum import HERMITIAN_TOL, PAULIS, as_density, as_hermitian, pure_state
 
 COMMUTATOR_TOL = 1e-9
@@ -101,9 +100,7 @@ def proposition_information(rho, question) -> float:
         raise ValidationError("question and state must have equal dimensions")
     if np.max(np.abs(q @ q - q)) > HERMITIAN_TOL:
         raise ValidationError("question must be a projector")
-    yes = float(np.einsum("ij,ji->", state, q).real)
-    yes = min(max(yes, 0.0), 1.0)
-    return quadratic_information([yes, 1.0 - yes])
+    return _question_information(state, q)
 
 
 def individual_questions() -> tuple[tuple[str, np.ndarray], ...]:
@@ -136,12 +133,18 @@ def info_split(rho) -> InfoSplit:
     if state.shape != (4, 4):
         raise ValidationError("info_split is defined for two-qubit states")
     individual = tuple(
-        (label, proposition_information(state, q)) for label, q in individual_questions())
+        (label, _question_information(state, q)) for label, q in individual_questions())
     correlation = tuple(
-        (label, proposition_information(state, q)) for label, q in correlation_questions())
+        (label, _question_information(state, q)) for label, q in correlation_questions())
     return InfoSplit(
         individual=float(sum(v for _, v in individual)),
         correlation=float(sum(v for _, v in correlation)),
         individual_terms=individual,
         correlation_terms=correlation,
     )
+
+
+def _question_information(state: np.ndarray, question: np.ndarray) -> float:
+    """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and projector."""
+    yes = min(max(float(np.einsum("ij,ji->", state, question).real), 0.0), 1.0)
+    return 2.0 * (yes - 0.5) ** 2

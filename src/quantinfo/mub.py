@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import as_distribution, quadratic_information
-from .quantum import as_basis, as_density, born_probabilities, _fix_column_phases
+from .probability import _quadratic, as_distribution
+from .quantum import _born, _fix_column_phases, as_basis, as_density
 
 UNBIASED_TOL = 1e-9
 
@@ -61,7 +61,95 @@ def build_mubs(n: int) -> list[np.ndarray]:
 
 def verify_unbiased(bases, tol: float = UNBIASED_TOL) -> DeviationReport:
     """Exhaustive check of |Tr(P Q) - 1/n| over all cross-basis projector pairs."""
+    return _overlap_report(_common_dimension(bases), tol)
+
+
+def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationReport:
+    """Exhaustive check of |Tr(Pbar Qbar)| over all cross-basis pairs.
+
+    Pbar = P - I/n is the traceless part of a projector; for unbiased bases
+    the deviation operators of different bases are Hilbert-Schmidt
+    orthogonal. Computed from the deviation operators themselves, not from
+    the overlap shortcut used by verify_unbiased, so the two checks stay
+    independent: Tr(Pbar Qbar) = vec(Pbar) . vec(Qbar^T) fills one Gram matrix.
+    """
     checked = _common_dimension(bases)
+    n = checked[0].shape[0]
+    vectors = np.concatenate(checked, axis=1)  # column b*n + i is vector i of basis b
+    ops = np.einsum("ar,br->rab", vectors, vectors.conj()) - np.eye(n) / n
+    gram = ops.reshape(len(ops), -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
+    # scan[j, k, i, m] = |Tr(Pbar_ji Qbar_km)| over j < k, first maximum wins
+    count = len(checked)
+    scan = np.abs(gram.real).reshape(count, n, count, n).transpose(0, 2, 1, 3)
+    scan[~np.triu(np.ones((count, count), dtype=bool), 1)] = -1.0
+    j, k, i, m = (int(x) for x in np.unravel_index(np.argmax(scan), scan.shape))
+    worst = float(scan[j, k, i, m])
+    worst_pair = (j, i, k, m) if worst > 0.0 else (0, 0, 0, 0)
+    return DeviationReport(worst, worst_pair, tol, worst < tol)
+
+
+def information_sum(rho, bases) -> float:
+    """Sum of quadratic information over the outcome statistics of a MUB set.
+
+    For a complete set of n+1 mutually unbiased bases this equals
+    Tr(rho - I/n)^2 identically, which is what makes the quadratic measure
+    basis-set invariant while the Shannon sum is not.
+    """
+    state = as_density(rho)
+    checked = _complete_set(bases)
+    n = state.shape[0]
+    if checked[0].shape[0] != n:
+        raise ValidationError(
+            f"bases are {checked[0].shape[0]}-dimensional but the state is {n}-dimensional")
+    return float(sum(_quadratic(_born(state, u)) for u in checked))
+
+
+def reconstruct(prob_lists, bases) -> np.ndarray:
+    """Rebuild a state from the outcome statistics of a complete MUB set.
+
+    rho = I/n + sum_j sum_i (p_i^j - 1/n) (P_i^j - I/n). With exact Born
+    statistics this returns the original state; with noisy statistics it
+    stays Hermitian with unit trace but may be indefinite. Positivity is
+    deliberately not enforced; use smallest_eigenvalue to diagnose.
+    """
+    checked = _complete_set(bases)
+    n = checked[0].shape[0]
+    dists = [as_distribution(p) for p in prob_lists]
+    if len(dists) != n + 1:
+        raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
+    if any(d.size != n for d in dists):
+        raise ValidationError(f"each outcome distribution must have {n} entries")
+    deviations = np.array(dists) - 1.0 / n
+    stack = np.array(checked)
+    rho = (np.einsum("ji,jai,jbi->ab", deviations, stack, stack.conj())
+           + np.eye(n) * (1.0 - deviations.sum()) / n)
+    return (rho + rho.conj().T) / 2.0
+
+
+def _common_dimension(bases) -> list[np.ndarray]:
+    checked = [as_basis(u) for u in bases]
+    if len(checked) < 2:
+        raise ValidationError("need at least two bases")
+    n = checked[0].shape[0]
+    if any(u.shape[0] != n for u in checked):
+        raise ValidationError("bases have mismatched dimensions")
+    return checked
+
+
+def _complete_set(bases) -> list[np.ndarray]:
+    """Validate a complete set: n+1 bases of dimension n, mutually unbiased."""
+    checked = _common_dimension(bases)
+    n = checked[0].shape[0]
+    if len(checked) != n + 1:
+        raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")
+    report = _overlap_report(checked, UNBIASED_TOL)
+    if not report.passed:
+        raise ValidationError(
+            f"bases are not mutually unbiased: deviation {report.max_deviation:.3e}")
+    return checked
+
+
+def _overlap_report(checked: list[np.ndarray], tol: float) -> DeviationReport:
     n = checked[0].shape[0]
     worst = 0.0
     worst_pair = (0, 0, 0, 0)
@@ -74,100 +162,6 @@ def verify_unbiased(bases, tol: float = UNBIASED_TOL) -> DeviationReport:
                 worst = float(deviation[i, m])
                 worst_pair = (j, int(i), k, int(m))
     return DeviationReport(worst, worst_pair, tol, worst < tol)
-
-
-def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationReport:
-    """Exhaustive check of |Tr(Pbar Qbar)| over all cross-basis pairs.
-
-    Pbar = P - I/n is the traceless part of a projector; for unbiased bases
-    the deviation operators of different bases are Hilbert-Schmidt
-    orthogonal. Computed from the deviation operators themselves, not from
-    the overlap shortcut used by verify_unbiased, so the two checks stay
-    independent.
-    """
-    checked = _common_dimension(bases)
-    n = checked[0].shape[0]
-    identity = np.eye(n) / n
-    deviation_ops = [
-        [np.outer(u[:, i], u[:, i].conj()) - identity for i in range(n)]
-        for u in checked
-    ]
-    worst = 0.0
-    worst_pair = (0, 0, 0, 0)
-    for j in range(len(checked)):
-        for k in range(j + 1, len(checked)):
-            for i in range(n):
-                for m in range(n):
-                    value = abs(np.einsum(
-                        "ab,ba->", deviation_ops[j][i], deviation_ops[k][m]).real)
-                    if value > worst:
-                        worst = float(value)
-                        worst_pair = (j, i, k, m)
-    return DeviationReport(worst, worst_pair, tol, worst < tol)
-
-
-def information_sum(rho, bases) -> float:
-    """Sum of quadratic information over the outcome statistics of a MUB set.
-
-    For a complete set of n+1 mutually unbiased bases this equals
-    Tr(rho - I/n)^2 identically, which is what makes the quadratic measure
-    basis-set invariant while the Shannon sum is not.
-    """
-    state = as_density(rho)
-    checked = _common_dimension(bases)
-    n = state.shape[0]
-    if checked[0].shape[0] != n:
-        raise ValidationError(
-            f"bases are {checked[0].shape[0]}-dimensional but the state is {n}-dimensional")
-    if len(checked) != n + 1:
-        raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")
-    report = verify_unbiased(checked)
-    if not report.passed:
-        raise ValidationError(
-            f"bases are not mutually unbiased: deviation {report.max_deviation:.3e}")
-    return float(sum(quadratic_information(born_probabilities(state, u)) for u in checked))
-
-
-def reconstruct(prob_lists, bases) -> np.ndarray:
-    """Rebuild a state from the outcome statistics of a complete MUB set.
-
-    rho = I/n + sum_j sum_i (p_i^j - 1/n) (P_i^j - I/n). With exact Born
-    statistics this returns the original state; with noisy statistics it
-    stays Hermitian with unit trace but may be indefinite. Positivity is
-    deliberately not enforced; use smallest_eigenvalue to diagnose.
-    """
-    checked = _common_dimension(bases)
-    n = checked[0].shape[0]
-    if len(checked) != n + 1:
-        raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")
-    report = verify_unbiased(checked)
-    if not report.passed:
-        raise ValidationError(
-            f"bases are not mutually unbiased: deviation {report.max_deviation:.3e}")
-    dists = [as_distribution(p) for p in prob_lists]
-    if len(dists) != n + 1:
-        raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
-    if any(d.size != n for d in dists):
-        raise ValidationError(f"each outcome distribution must have {n} entries")
-    identity = np.eye(n, dtype=complex)
-    rho = identity / n
-    for probs, basis in zip(dists, checked):
-        deviations = probs - 1.0 / n
-        for i in range(n):
-            v = basis[:, i]
-            projector = np.outer(v, v.conj())
-            rho = rho + deviations[i] * (projector - identity / n)
-    return (rho + rho.conj().T) / 2.0
-
-
-def _common_dimension(bases) -> list[np.ndarray]:
-    checked = [as_basis(u) for u in bases]
-    if len(checked) < 2:
-        raise ValidationError("need at least two bases")
-    n = checked[0].shape[0]
-    if any(u.shape[0] != n for u in checked):
-        raise ValidationError("bases have mismatched dimensions")
-    return checked
 
 
 def _is_odd_prime(n: int) -> bool:

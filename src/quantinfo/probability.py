@@ -20,41 +20,17 @@ def as_distribution(p, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL
     within sum_tol of 1 is renormalized. Anything further off is rejected
     rather than silently repaired.
     """
-    arr = np.asarray(p, dtype=float).copy()
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("expected a nonempty 1-d probability vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("probability entries must be finite")
-    if np.any(arr < -entry_tol):
-        raise ValidationError(f"negative probability entry: min {arr.min():.3e}")
-    arr[arr < 0.0] = 0.0
-    total = float(arr.sum())
-    if abs(total - 1.0) >= sum_tol:
-        raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    return arr / total
+    return _clamp(p, 1, "probability vector", entry_tol, sum_tol)
 
 
 def as_joint_distribution(table, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
     """Validate a 2-d joint probability table; same clamping rules as vectors."""
-    arr = np.asarray(table, dtype=float).copy()
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError("expected a nonempty 2-d joint probability table")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("joint probability entries must be finite")
-    if np.any(arr < -entry_tol):
-        raise ValidationError(f"negative joint probability entry: min {arr.min():.3e}")
-    arr[arr < 0.0] = 0.0
-    total = float(arr.sum())
-    if abs(total - 1.0) >= sum_tol:
-        raise ValidationError(f"joint probabilities sum to {total!r}, not 1")
-    return arr / total
+    return _clamp(table, 2, "joint probability table", entry_tol, sum_tol)
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits."""
-    probs = as_distribution(p)
-    pos = probs[probs > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return _entropy(as_distribution(p))
 
 
 def surprise(p, outcome: int) -> float:
@@ -78,9 +54,7 @@ def quadratic_information(p, norm: float = 1.0) -> float:
     """
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValidationError("normalization constant must be positive")
-    probs = as_distribution(p)
-    n = probs.size
-    return float(norm * ((probs - 1.0 / n) ** 2).sum())
+    return _quadratic(as_distribution(p), norm)
 
 
 def grouping_residual(p) -> float:
@@ -100,8 +74,8 @@ def grouping_residual(p) -> float:
     if tail <= 0.0:
         raise ValidationError("merged outcomes have zero total probability")
     merged = np.append(probs[:-2], tail)
-    lhs = shannon_entropy(probs)
-    rhs = shannon_entropy(merged) + tail * shannon_entropy([q1 / tail, q2 / tail])
+    lhs = _entropy(probs)
+    rhs = _entropy(merged) + tail * _entropy(np.array([q1 / tail, q2 / tail]))
     return float(lhs - rhs)
 
 
@@ -110,19 +84,12 @@ def conditional_entropy(joint) -> float:
 
     Zero-probability columns contribute nothing.
     """
-    table = as_joint_distribution(joint)
-    h = 0.0
-    for col in table.T:
-        pb = float(col.sum())
-        if pb > 0.0:
-            h += pb * shannon_entropy(col / pb)
-    return h
+    return _conditional_entropy(as_joint_distribution(joint))
 
 
 def mutual_information(joint) -> float:
     """H(A) - H(A|B) for a joint table with rows indexed by A."""
-    table = as_joint_distribution(joint)
-    return shannon_entropy(table.sum(axis=1)) - conditional_entropy(table)
+    return _mutual_information(as_joint_distribution(joint))
 
 
 def majorizes(p, q, tol: float = 1e-9) -> bool:
@@ -141,14 +108,9 @@ def majorizes(p, q, tol: float = 1e-9) -> bool:
 
 def as_doubly_stochastic(matrix, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
     """Validate a square matrix with nonnegative entries and unit row/column sums."""
-    arr = np.asarray(matrix, dtype=float).copy()
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+    arr = _clamp(matrix, 2, "matrix", entry_tol)
+    if arr.shape[0] != arr.shape[1]:
         raise ValidationError("expected a nonempty square matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("matrix entries must be finite")
-    if np.any(arr < -entry_tol):
-        raise ValidationError(f"negative matrix entry: min {arr.min():.3e}")
-    arr[arr < 0.0] = 0.0
     if np.any(np.abs(arr.sum(axis=0) - 1.0) >= sum_tol):
         raise ValidationError("column sums deviate from 1")
     if np.any(np.abs(arr.sum(axis=1) - 1.0) >= sum_tol):
@@ -162,7 +124,8 @@ def apply_doubly_stochastic(matrix, p) -> np.ndarray:
     probs = as_distribution(p)
     if s.shape[0] != probs.size:
         raise ValidationError(f"matrix is {s.shape[0]}x{s.shape[0]} but distribution has {probs.size} entries")
-    return as_distribution(s @ probs)
+    mixed = s @ probs
+    return mixed / mixed.sum()
 
 
 def random_doubly_stochastic(n: int, seed: int, permutations: int | None = None) -> np.ndarray:
@@ -190,3 +153,50 @@ def random_distribution(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValidationError("distribution size must be >= 1")
     return np.random.default_rng(seed).dirichlet(np.ones(n))
+
+
+def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None = None) -> np.ndarray:
+    """The one clamp routine behind the probability validators.
+
+    Rejects a wrong shape, non-finite entries and entries below -entry_tol,
+    and zeroes the rest of the negatives. Given sum_tol, a total within
+    sum_tol of 1 is renormalized and one further off is rejected.
+    """
+    arr = np.asarray(values, dtype=float).copy()
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(f"expected a nonempty {ndim}-d {what}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} entries must be finite")
+    if np.any(arr < -entry_tol):
+        raise ValidationError(f"negative {what} entry: min {arr.min():.3e}")
+    arr[arr < 0.0] = 0.0
+    if sum_tol is None:
+        return arr
+    total = float(arr.sum())
+    if abs(total - 1.0) >= sum_tol:
+        raise ValidationError(f"{what} sums to {total!r}, not 1")
+    return arr / total
+
+
+# Kernels below take arrays that a validator above has already checked.
+
+def _entropy(probs: np.ndarray) -> float:
+    pos = probs[probs > 0.0]
+    return float(-(pos * np.log2(pos)).sum())
+
+
+def _quadratic(probs: np.ndarray, norm: float = 1.0) -> float:
+    return float(norm * ((probs - 1.0 / probs.size) ** 2).sum())
+
+
+def _conditional_entropy(table: np.ndarray) -> float:
+    h = 0.0
+    for col in table.T:
+        pb = float(col.sum())
+        if pb > 0.0:
+            h += pb * _entropy(col / pb)
+    return h
+
+
+def _mutual_information(table: np.ndarray) -> float:
+    return _entropy(table.sum(axis=1)) - _conditional_entropy(table)

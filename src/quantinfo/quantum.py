@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import as_distribution, shannon_entropy
+from .probability import _entropy, as_distribution
 
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -148,13 +148,7 @@ def basis_projectors(basis) -> list[np.ndarray]:
 
 def born_probabilities(rho, basis) -> np.ndarray:
     """Outcome distribution p_i = <u_i|rho|u_i> of a projective measurement."""
-    state = as_density(rho)
-    u = as_basis(basis)
-    if u.shape[0] != state.shape[0]:
-        raise ValidationError(
-            f"basis dimension {u.shape[0]} does not match state dimension {state.shape[0]}")
-    diag = np.einsum("ji,jk,ki->i", u.conj(), state, u).real
-    return _clamped_distribution(diag)
+    return _born(*_state_and_basis(rho, basis))
 
 
 def luders_update(rho, basis) -> np.ndarray:
@@ -163,29 +157,23 @@ def luders_update(rho, basis) -> np.ndarray:
     Kills the off-diagonal blocks in the measured basis; measuring in an
     eigenbasis of rho leaves it unchanged.
     """
-    state = as_density(rho)
-    u = as_basis(basis)
-    if u.shape[0] != state.shape[0]:
-        raise ValidationError(
-            f"basis dimension {u.shape[0]} does not match state dimension {state.shape[0]}")
+    state, u = _state_and_basis(rho, basis)
     diag = np.diag(u.conj().T @ state @ u).real
     return u @ np.diag(diag.astype(complex)) @ u.conj().T
 
 
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues of a density operator, descending, as a clean distribution."""
-    state = as_density(rho)
-    return _clamped_distribution(np.linalg.eigvalsh(state)[::-1])
+    return _spectrum(as_density(rho))
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy of the spectrum, in bits."""
-    return shannon_entropy(spectrum(rho))
+    return _entropy(spectrum(rho))
 
 
 def purity(rho) -> float:
-    state = as_density(rho)
-    return float(np.einsum("ij,ji->", state, state).real)
+    return _purity(as_density(rho))
 
 
 def total_information(rho) -> float:
@@ -194,7 +182,7 @@ def total_information(rho) -> float:
     Zero for the maximally mixed state, 1 - 1/n for every pure state.
     """
     state = as_density(rho)
-    return purity(state) - 1.0 / state.shape[0]
+    return _purity(state) - 1.0 / state.shape[0]
 
 
 def is_pure(rho) -> bool:
@@ -203,10 +191,7 @@ def is_pure(rho) -> bool:
 
 def hs_inner_product(a, b) -> float:
     """Hilbert-Schmidt inner product Tr(AB) of two Hermitian matrices."""
-    ha = as_hermitian(a)
-    hb = as_hermitian(b)
-    if ha.shape != hb.shape:
-        raise ValidationError("matrices must have equal shapes")
+    ha, hb = _hermitian_pair(a, b)
     value = complex(np.einsum("ij,ji->", ha, hb))
     if abs(value.imag) > HERMITIAN_TOL:
         raise ValidationError("inner product has a non-negligible imaginary part")
@@ -215,10 +200,7 @@ def hs_inner_product(a, b) -> float:
 
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt distance sqrt(Tr (A-B)^2)."""
-    ha = as_hermitian(a)
-    hb = as_hermitian(b)
-    if ha.shape != hb.shape:
-        raise ValidationError("matrices must have equal shapes")
+    ha, hb = _hermitian_pair(a, b)
     diff = ha - hb
     return float(np.sqrt(max(np.einsum("ij,ji->", diff, diff).real, 0.0)))
 
@@ -252,18 +234,36 @@ def random_basis(n: int, seed: int) -> np.ndarray:
     return q * phases
 
 
-def _clamped_distribution(values: np.ndarray) -> np.ndarray:
-    """Turn near-probabilities from matrix arithmetic into an exact distribution.
+def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a state and a measurement basis of the same dimension."""
+    state, u = as_density(rho), as_basis(basis)
+    if u.shape[0] != state.shape[0]:
+        raise ValidationError(
+            f"basis dimension {u.shape[0]} does not match state dimension {state.shape[0]}")
+    return state, u
 
-    Uses the quantum eigenvalue tolerance: a state accepted with eigenvalue
-    -1e-9 can produce Born weights near -1e-9, which the stricter plain
-    probability window would spuriously reject.
-    """
-    arr = np.asarray(values, dtype=float).copy()
-    if np.any(arr < -EIGENVALUE_TOL):
-        raise ValidationError(f"negative measurement weight: min {arr.min():.3e}")
-    arr[arr < 0.0] = 0.0
-    return as_distribution(arr, entry_tol=0.0)
+
+def _hermitian_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    ha, hb = as_hermitian(a), as_hermitian(b)
+    if ha.shape != hb.shape:
+        raise ValidationError("matrices must have equal shapes")
+    return ha, hb
+
+
+# Kernels below take a state from as_density and a basis from as_basis. Born weights
+# and spectra clamp at EIGENVALUE_TOL, the negative eigenvalue as_density accepts.
+
+def _born(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    diag = np.einsum("ji,jk,ki->i", u.conj(), state, u).real
+    return as_distribution(diag, entry_tol=EIGENVALUE_TOL)
+
+
+def _spectrum(state: np.ndarray) -> np.ndarray:
+    return as_distribution(np.linalg.eigvalsh(state)[::-1], entry_tol=EIGENVALUE_TOL)
+
+
+def _purity(state: np.ndarray) -> float:
+    return float(np.einsum("ij,ji->", state, state).real)
 
 
 def _fix_column_phases(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:

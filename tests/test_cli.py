@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantinfo
 from quantinfo import bloch_state, cq_ensemble, ensemble_to_json, pure_state
 from quantinfo.cli import run
 
@@ -53,6 +58,17 @@ class TestExitCodes:
         assert "subcommand" in out or "usage" in out
 
 
+def test_module_entry_point_runs_main():
+    src = str(Path(quantinfo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "quantinfo.cli", "entropy", "--dist", "0.5,0.5", "--json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["entropy_bits"] == 1.0
+
+
 class TestDistributionWindow:
     def test_small_drift_normalized_with_warning(self, capsys):
         code, payload, err = cli_json(capsys, "entropy", "--dist", "0.5000001,0.5")
@@ -81,11 +97,15 @@ class TestScalarCommands:
         assert code == 0
         assert payload["entropy_bits"] == pytest.approx(1.459148, abs=1e-5)
         assert payload["command"] == "entropy"
-        assert payload["tol"] == 1e-9
 
     def test_tol_is_echoed(self, capsys):
-        _, payload, _ = cli_json(capsys, "entropy", "--dist", "0.5,0.5", "--tol", "1e-6")
+        _, payload, _ = cli_json(
+            capsys, "majorize", "--p", "0.5,0.5", "--q", "0.5,0.5", "--tol", "1e-6")
         assert payload["tol"] == 1e-6
+
+    def test_tol_is_a_usage_error_where_it_changes_nothing(self, capsys):
+        code, _, _ = cli(capsys, "entropy", "--dist", "0.5,0.5", "--tol", "1e-6")
+        assert code == 2
 
     def test_bzinfo(self, capsys):
         code, payload, _ = cli_json(capsys, "bzinfo", "--dist", "0.65,0.35")

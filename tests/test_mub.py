@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantinfo import (
     ValidationError,
@@ -18,6 +19,55 @@ from quantinfo import (
     total_information,
     verify_unbiased,
 )
+
+
+def reference_hyperplane(bases):
+    """Four-loop |Tr(Pbar Qbar)| scan, first maximum wins.
+
+    Returns the maximum, its (j, i, k, m) pair and every pair's value.
+    """
+    n = bases[0].shape[0]
+    identity = np.eye(n) / n
+    ops = [[np.outer(u[:, i], u[:, i].conj()) - identity for i in range(n)] for u in bases]
+    worst = 0.0
+    worst_pair = (0, 0, 0, 0)
+    values = {}
+    for j in range(len(bases)):
+        for k in range(j + 1, len(bases)):
+            for i in range(n):
+                for m in range(n):
+                    value = abs(np.einsum("ab,ba->", ops[j][i], ops[k][m]).real)
+                    values[(j, i, k, m)] = value
+                    if value > worst:
+                        worst = float(value)
+                        worst_pair = (j, i, k, m)
+    return worst, worst_pair, values
+
+
+def reference_unbiased(bases):
+    """Pairwise |<u|v>|^2 - 1/n scan, first maximum wins: (max deviation, (j, i, k, m))."""
+    n = bases[0].shape[0]
+    worst = 0.0
+    worst_pair = (0, 0, 0, 0)
+    for j in range(len(bases)):
+        for k in range(j + 1, len(bases)):
+            deviation = np.abs(np.abs(bases[j].conj().T @ bases[k]) ** 2 - 1.0 / n)
+            i, m = np.unravel_index(np.argmax(deviation), deviation.shape)
+            if deviation[i, m] > worst:
+                worst = float(deviation[i, m])
+                worst_pair = (j, int(i), k, int(m))
+    return worst, worst_pair
+
+
+def rotated_set(n, seed=0, angle=1e-7):
+    """build_mubs(n) with one basis turned by a small seeded unitary exp(i*angle*H)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    values, vectors = np.linalg.eigh((g + g.conj().T) / 2.0)
+    unitary = vectors @ np.diag(np.exp(1j * angle * values)) @ vectors.conj().T
+    bases = build_mubs(n)
+    bases[1] = unitary @ bases[1]
+    return bases
 
 
 class TestConstruction:
@@ -102,6 +152,65 @@ class TestVerification:
         hyperplane = hyperplane_orthogonality([z, tilted])
         assert not overlap.passed
         assert not hyperplane.passed
+
+
+class TestHyperplaneAgainstReference:
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_matches_four_loop_scan(self, n, rotated):
+        bases = rotated_set(n, seed=n) if rotated else build_mubs(n)
+        worst, pair, values = reference_hyperplane(bases)
+        report = hyperplane_orthogonality(bases)
+        assert abs(report.max_deviation - worst) < 1e-15
+        if worst > 1e-12:
+            # pairs within rounding of the maximum are ties: for qubits
+            # Pbar_1 = -Pbar_0, so all four (i, m) of a basis pair tie exactly
+            ties = [p for p, v in values.items() if v > worst - 1e-15]
+            if len(ties) == 1:
+                assert report.worst_pair == pair
+            else:
+                assert report.worst_pair in ties
+        j, _, k, _ = report.worst_pair
+        assert j < k or report.worst_pair == (0, 0, 0, 0)
+        assert report.passed == (not rotated)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_unbiased_matches_pairwise_scan(self, n):
+        bases = rotated_set(n, seed=n)
+        worst, pair = reference_unbiased(bases)
+        report = verify_unbiased(bases)
+        assert abs(report.max_deviation - worst) < 1e-15
+        assert report.worst_pair == pair
+
+    def test_relabeled_copy_reports_a_failing_pair(self):
+        z = np.eye(2, dtype=complex)
+        bases = [z, z[:, ::-1]]
+        report = hyperplane_orthogonality(bases)
+        worst, _, _ = reference_hyperplane(bases)
+        assert not report.passed
+        assert report.max_deviation == pytest.approx(worst, abs=1e-15)
+        j, i, k, m = report.worst_pair
+        assert j < k
+        pbar = np.outer(bases[j][:, i], bases[j][:, i].conj()) - np.eye(2) / 2
+        qbar = np.outer(bases[k][:, m], bases[k][:, m].conj()) - np.eye(2) / 2
+        assert abs(np.trace(pbar @ qbar).real) > report.tol
+
+
+@st.composite
+def states(draw):
+    n = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, n))
+    return random_density(n, seed=draw(st.integers(0, 2**32 - 1)), rank=rank)
+
+
+class TestMubProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(states())
+    def test_information_sum_and_round_trip(self, rho):
+        bases = build_mubs(rho.shape[0])
+        assert abs(information_sum(rho, bases) - total_information(rho)) < 1e-9
+        stats = [born_probabilities(rho, u) for u in bases]
+        assert hs_distance(reconstruct(stats, bases), rho) < 1e-9
 
 
 class TestInformationSum:

@@ -8,6 +8,8 @@ from quantinfo import (
     apply_doubly_stochastic,
     as_distribution,
     as_doubly_stochastic,
+    as_joint_distribution,
+    born_probabilities,
     conditional_entropy,
     grouping_residual,
     majorizes,
@@ -16,8 +18,30 @@ from quantinfo import (
     random_distribution,
     random_doubly_stochastic,
     shannon_entropy,
+    spectrum,
     surprise,
 )
+from quantinfo.probability import ENTRY_TOL
+from quantinfo.quantum import EIGENVALUE_TOL
+
+# Every call site of the shared clamp: build an input whose one noisy entry is
+# `entry` and whose total is 1 + drift, and return (output, that entry's output).
+CLAMP_SITES = {
+    "vector": (ENTRY_TOL, True, lambda e, d: _pick(
+        as_distribution([0.6 + d - e, 0.4, e]), 2)),
+    "joint-table": (ENTRY_TOL, True, lambda e, d: _pick(
+        as_joint_distribution([[0.3 + d - e, 0.2], [0.5, e]]), (1, 1))),
+    "doubly-stochastic": (ENTRY_TOL, False, lambda e, d: _pick(
+        as_doubly_stochastic([[1.0 + d - e, e], [e, 1.0 + d - e]]), (0, 1))),
+    "born": (EIGENVALUE_TOL, True, lambda e, d: _pick(
+        born_probabilities(np.diag([1.0 + d - e, e]), np.eye(2)), 1)),
+    "spectrum": (EIGENVALUE_TOL, True, lambda e, d: _pick(
+        spectrum(np.diag([1.0 + d - e, e])), -1)),
+}
+
+
+def _pick(out, index):
+    return out, out[index]
 
 
 class TestValidation:
@@ -43,6 +67,23 @@ class TestValidation:
             as_distribution([])
         with pytest.raises(ValidationError):
             as_distribution([0.5, np.nan])
+
+
+@pytest.mark.parametrize("site", list(CLAMP_SITES))
+def test_clamp_edges(site):
+    tol, renormalizes, call = CLAMP_SITES[site]
+    _, clamped = call(-0.5 * tol, 0.0)
+    assert clamped == 0.0
+    with pytest.raises(ValidationError):
+        call(-2.0 * tol, 0.0)
+    out, _ = call(0.0, 0.9e-9)
+    if renormalizes:
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
+    else:  # row and column sums cannot both be rescaled; the drift is accepted
+        assert np.all(np.abs(out.sum(axis=0) - 1.0) < 1e-9)
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
+    with pytest.raises(ValidationError):
+        call(0.0, 1.1e-9)
 
 
 class TestShannonEntropy:
