@@ -14,25 +14,28 @@ import numpy as np
 
 from .errors import ValidationError
 from .probability import (
+    _clamp,
     _conditional_entropy,
     _entropy,
     _mutual_information,
     as_distribution,
-    as_joint_distribution,
 )
 from .quantum import (
     _spectrum,
     EIGENVALUE_TOL,
     HERMITIAN_TOL,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     as_density,
     as_hermitian,
     basis_projectors,
-    bloch_vector,
     pure_state,
     random_density,
     spin_basis,
-    von_neumann_entropy,
 )
+
+QUBIT_GRID = (180, 360)  # polar x azimuthal points of the exhaustive qubit scan
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,7 @@ class CqEnsemble:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        out = np.zeros_like(self.states[0])
-        for weight, state in zip(self.priors, self.states):
-            out = out + weight * state
-        return out
+        return np.einsum("a,aij->ij", self.priors, np.stack(self.states))
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,11 @@ def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
         raise ValidationError(f"effects are {n}-dimensional, expected {dim}")
     if any(e.shape[0] != n for e in checked):
         raise ValidationError("effects have mismatched dimensions")
-    for i, effect in enumerate(checked):
-        smallest = float(np.linalg.eigvalsh(effect)[0])
-        if smallest < -EIGENVALUE_TOL:
-            raise ValidationError(
-                f"effect {i} is not positive semidefinite: min eigenvalue {smallest:.3e}")
+    smallest = np.linalg.eigvalsh(np.stack(checked))[:, 0]
+    negative = np.flatnonzero(smallest < -EIGENVALUE_TOL)
+    if negative.size:
+        raise ValidationError(f"effect {negative[0]} is not positive semidefinite: "
+                              f"min eigenvalue {smallest[negative[0]]:.3e}")
     total = sum(checked)
     if np.max(np.abs(total - np.eye(n))) > HERMITIAN_TOL:
         raise ValidationError("effects do not sum to the identity")
@@ -122,25 +122,19 @@ def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
 
 def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
     """Joint table p(letter, outcome) = prior * Tr(rho_letter E_outcome)."""
-    povm = as_povm(effects, ensemble.dim)
-    rows = []
-    for weight, rho in zip(ensemble.priors, ensemble.states):
-        outcome_probs = np.array(
-            [np.einsum("ij,ji->", rho, e).real for e in povm])
-        # effects sum to I only within HERMITIAN_TOL: rescale before the sum window
-        rows.append(weight * as_distribution(
-            outcome_probs / outcome_probs.sum(), entry_tol=EIGENVALUE_TOL))
-    return as_joint_distribution(np.array(rows), entry_tol=0.0)
+    povm = np.stack(as_povm(effects, ensemble.dim))
+    born = np.einsum("aij,kji->ak", np.stack(ensemble.states), povm).real
+    return _joint(ensemble.priors, born)
 
 
 def measured_information(ensemble: CqEnsemble, effects) -> float:
     """Mutual information between the stored letter and the readout outcome."""
-    return _mutual_information(joint_distribution(ensemble, effects))
+    return float(_mutual_information(joint_distribution(ensemble, effects)))
 
 
 def holevo_chi(ensemble: CqEnsemble) -> float:
     """S(average state) - sum_a p_a S(rho_a): the readout information ceiling."""
-    chi = von_neumann_entropy(ensemble.average_state())
+    chi = _entropy(_spectrum(ensemble.average_state()))
     for weight, rho in zip(ensemble.priors, ensemble.states):
         chi -= weight * _entropy(_spectrum(rho))
     return float(chi)
@@ -148,7 +142,7 @@ def holevo_chi(ensemble: CqEnsemble) -> float:
 
 def specification_information(ensemble: CqEnsemble) -> float:
     """Shannon entropy of the priors: bits needed to specify the prepared letter."""
-    return _entropy(ensemble.priors)
+    return float(_entropy(ensemble.priors))
 
 
 def accessible_information(
@@ -156,21 +150,18 @@ def accessible_information(
     seed: int = 0,
     restarts: int = 8,
     steps: int = 200,
-    grid: tuple[int, int] = (180, 360),
 ) -> AccessibleInfo:
     """Search for the best projective readout of an ensemble.
 
-    Qubit ensembles get an exhaustive polar x azimuthal grid (default
-    180 x 360) followed by coordinate-wise golden-section refinement of the
-    best cell, so the qubit result is deterministic and seed-independent.
+    Qubit ensembles get an exhaustive 180 x 360 polar x azimuthal grid of
+    spin readouts, then nested local grids around the best point, so the
+    qubit result is deterministic and seed-independent.
     Higher dimensions use seeded random-restart hill climbing over bases and
     report a lower bound. POVMs are excluded by design; the search covers
     projective measurements only.
     """
     if ensemble.dim == 2:
-        if grid[0] < 1 or grid[1] < 1:
-            raise ValidationError("grid must have at least one point per axis")
-        direction = _best_qubit_direction(ensemble, grid)
+        direction = _best_qubit_direction(ensemble)
         effects = tuple(basis_projectors(spin_basis(direction)))
         return AccessibleInfo(measured_information(ensemble, effects), effects, "grid")
     if restarts < 1 or steps < 1:
@@ -194,10 +185,10 @@ def wrong_basis_demo(theta: float, priors=(0.5, 0.5)) -> WrongBasisReport:
     joint = joint_distribution(ensemble, effects)
     return WrongBasisReport(
         joint=joint,
-        source_entropy=_entropy(dist),
-        outcome_entropy=_entropy(joint.sum(axis=0)),
-        conditional=_conditional_entropy(joint),
-        mutual=_mutual_information(joint),
+        source_entropy=float(_entropy(dist)),
+        outcome_entropy=float(_entropy(joint.sum(axis=0))),
+        conditional=float(_conditional_entropy(joint)),
+        mutual=float(_mutual_information(joint)),
     )
 
 
@@ -229,78 +220,48 @@ def random_povm(n: int, outcomes: int, seed: int) -> list[np.ndarray]:
     return as_povm([whitener @ block @ whitener for block in blocks])
 
 
-def _qubit_mutual_information(priors, overlaps) -> np.ndarray:
-    """Vectorized MI between letters and a two-outcome spin readout.
+def _joint(priors: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """Joint tables p(letter, outcome) from (..., letter, outcome) Born weights.
 
-    overlaps has shape (letters, K): the Bloch overlap r_a . n_k for each
-    candidate direction.
+    The weights are clamped once at EIGENVALUE_TOL, the negative eigenvalue a
+    checked state or effect may carry, and each row is rescaled to its prior:
+    effects sum to the identity only within HERMITIAN_TOL.
     """
-    conditional = np.clip((1.0 + overlaps) / 2.0, 0.0, 1.0)
-    outcome = priors @ conditional
-    return _binary_entropy(outcome) - priors @ _binary_entropy(conditional)
+    weights = _clamp(born, born.ndim, "Born weight", EIGENVALUE_TOL)
+    return priors[:, None] * weights / np.einsum("...k->...", weights)[..., None]
 
 
-def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    arr = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    v = arr[interior]
-    out[interior] = -v * np.log2(v) - (1.0 - v) * np.log2(1.0 - v)
-    return out
+def _qubit_born(bloch: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Born weights (1 +- r_a . n_k)/2 of spin readouts along (K, 3) directions."""
+    return (1.0 + (directions @ bloch.T)[..., None] * np.array([1.0, -1.0])) / 2.0
 
 
-def _best_qubit_direction(ensemble: CqEnsemble, grid: tuple[int, int]) -> np.ndarray:
-    bloch = np.array([bloch_vector(rho) for rho in ensemble.states])
-    priors = ensemble.priors
-
-    def value(theta: float, phi: float) -> float:
-        direction = np.array([
-            np.sin(theta) * np.cos(phi),
-            np.sin(theta) * np.sin(phi),
-            np.cos(theta),
-        ])
-        return float(_qubit_mutual_information(priors, (bloch @ direction)[:, None])[0])
-
-    thetas = np.linspace(0.0, np.pi, grid[0])
-    phis = np.linspace(0.0, 2.0 * np.pi, grid[1], endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    directions = np.stack([
-        np.sin(tt) * np.cos(pp),
-        np.sin(tt) * np.sin(pp),
-        np.cos(tt),
-    ]).reshape(3, -1)
-    scores = _qubit_mutual_information(priors, bloch @ directions)
-    best = int(np.argmax(scores))
-    theta = tt.reshape(-1)[best]
-    phi = pp.reshape(-1)[best]
-    span_theta = np.pi / max(grid[0] - 1, 1)
-    span_phi = 2.0 * np.pi / grid[1]
-    for _ in range(4):  # alternate golden-section sweeps on the best cell
-        theta = _golden_max(lambda t: value(t, phi), theta - span_theta, theta + span_theta)
-        phi = _golden_max(lambda f: value(theta, f), phi - span_phi, phi + span_phi)
-        span_theta /= 4.0
-        span_phi /= 4.0
-    return np.array([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi),
-                     np.cos(theta)])
+def _direction(theta, phi) -> np.ndarray:
+    """Unit vectors at polar angle theta and azimuth phi, broadcast together."""
+    sin_theta = np.sin(theta)
+    return np.stack(np.broadcast_arrays(
+        sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)), axis=-1)
 
 
-def _golden_max(fn, lo: float, hi: float, iterations: int = 50) -> float:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
+def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
+    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+    bloch = np.einsum("aij,sji->as", np.stack(ensemble.states), paulis).real
+
+    def best(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float]:
+        born = _qubit_born(bloch, _direction(thetas[:, None], phis).reshape(-1, 3))
+        k = int(np.argmax(_mutual_information(_joint(ensemble.priors, born))))
+        return thetas[k // phis.size], phis[k % phis.size]
+
+    theta, phi = best(np.linspace(0.0, np.pi, QUBIT_GRID[0]),
+                      np.linspace(0.0, 2.0 * np.pi, QUBIT_GRID[1], endpoint=False))
+    span_theta = np.pi / (QUBIT_GRID[0] - 1)
+    span_phi = 2.0 * np.pi / QUBIT_GRID[1]
+    offsets = np.linspace(-1.0, 1.0, 33)
+    for _ in range(5):  # each local grid spans one step of the grid before it
+        theta, phi = best(theta + span_theta * offsets, phi + span_phi * offsets)
+        span_theta /= 16.0
+        span_phi /= 16.0
+    return _direction(theta, phi)
 
 
 def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int) -> np.ndarray:
@@ -310,10 +271,8 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int
 
     def score(basis: np.ndarray) -> float:
         # p(a, i) = prior_a <u_i| rho_a |u_i>, computed without revalidation
-        conditional = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
-        conditional = np.clip(conditional, 0.0, None)
-        conditional /= conditional.sum(axis=1, keepdims=True)
-        return _mutual_information((priors[:, None] * conditional).T)
+        born = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
+        return _mutual_information(_joint(priors, born))
 
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     best_value = -np.inf

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -35,11 +36,17 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 
@@ -225,8 +232,9 @@ def _cmd_itot(args):
 
 def _cmd_mub_verify(args):
     bases = mub.build_mubs(args.dim)
-    unbiased = mub.verify_unbiased(bases, tol=args.tol)
+    # the hyperplane check's size cap rejects an oversized set before the overlap scan
     hyper = mub.hyperplane_orthogonality(bases, tol=args.tol)
+    unbiased = mub.verify_unbiased(bases, tol=args.tol)
     payload = {
         "command": "mub-verify", "dim": args.dim, "tol": args.tol,
         "bases": len(bases),

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import HERMITIAN_TOL, PAULIS, as_density, as_hermitian, pure_state
+from .probability import _quadratic, as_distribution
+from .quantum import EIGENVALUE_TOL, HERMITIAN_TOL, PAULIS, as_density, as_hermitian, pure_state
 
 COMMUTATOR_TOL = 1e-9
 EIGENVALUE_MATCH_TOL = 1e-6
@@ -146,5 +147,5 @@ def info_split(rho) -> InfoSplit:
 
 def _question_information(state: np.ndarray, question: np.ndarray) -> float:
     """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and projector."""
-    yes = min(max(float(np.einsum("ij,ji->", state, question).real), 0.0), 1.0)
-    return 2.0 * (yes - 0.5) ** 2
+    yes = float(np.einsum("ij,ji->", state, question).real)
+    return _quadratic(as_distribution([yes, 1.0 - yes], entry_tol=EIGENVALUE_TOL))

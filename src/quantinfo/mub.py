@@ -16,6 +16,7 @@ from .probability import _quadratic, as_distribution
 from .quantum import _born, _fix_column_phases, as_basis, as_density
 
 UNBIASED_TOL = 1e-9
+HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the deviation operators or their Gram matrix
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,20 @@ def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationRepor
     orthogonal. Computed from the deviation operators themselves, not from
     the overlap shortcut used by verify_unbiased, so the two checks stay
     independent: Tr(Pbar Qbar) = vec(Pbar) . vec(Qbar^T) fills one Gram matrix.
+    Sets whose operators or Gram matrix would exceed HYPERPLANE_MAX_ENTRIES
+    are rejected before either is built (a complete set passes up to n = 43).
     """
     checked = _common_dimension(bases)
     n = checked[0].shape[0]
+    count = len(checked)
+    if max(count * n ** 3, (count * n) ** 2) > HYPERPLANE_MAX_ENTRIES:
+        raise ValidationError(
+            f"{count} bases of dimension {n} exceed the hyperplane check's cap of "
+            f"{HYPERPLANE_MAX_ENTRIES} complex entries")
     vectors = np.concatenate(checked, axis=1)  # column b*n + i is vector i of basis b
     ops = np.einsum("ar,br->rab", vectors, vectors.conj()) - np.eye(n) / n
     gram = ops.reshape(len(ops), -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
     # scan[j, k, i, m] = |Tr(Pbar_ji Qbar_km)| over j < k, first maximum wins
-    count = len(checked)
     scan = np.abs(gram.real).reshape(count, n, count, n).transpose(0, 2, 1, 3)
     scan[~np.triu(np.ones((count, count), dtype=bool), 1)] = -1.0
     j, k, i, m = (int(x) for x in np.unravel_index(np.argmax(scan), scan.shape))

@@ -30,7 +30,7 @@ def as_joint_distribution(table, *, entry_tol: float = ENTRY_TOL, sum_tol: float
 
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits."""
-    return _entropy(as_distribution(p))
+    return float(_entropy(as_distribution(p)))
 
 
 def surprise(p, outcome: int) -> float:
@@ -84,12 +84,12 @@ def conditional_entropy(joint) -> float:
 
     Zero-probability columns contribute nothing.
     """
-    return _conditional_entropy(as_joint_distribution(joint))
+    return float(_conditional_entropy(as_joint_distribution(joint)))
 
 
 def mutual_information(joint) -> float:
     """H(A) - H(A|B) for a joint table with rows indexed by A."""
-    return _mutual_information(as_joint_distribution(joint))
+    return float(_mutual_information(as_joint_distribution(joint)))
 
 
 def majorizes(p, q, tol: float = 1e-9) -> bool:
@@ -178,25 +178,25 @@ def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None
     return arr / total
 
 
-# Kernels below take arrays that a validator above has already checked.
+# Kernels below take arrays that a validator above has already checked. The
+# entropies reduce over the last axis (the last two for tables) and batch over
+# any leading axes; they sum with einsum, which is several times faster than
+# ndarray.sum over a short last axis.
 
-def _entropy(probs: np.ndarray) -> float:
-    pos = probs[probs > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+def _entropy(probs: np.ndarray):
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -np.einsum("...i,...i->...", probs, logs)
 
 
 def _quadratic(probs: np.ndarray, norm: float = 1.0) -> float:
     return float(norm * ((probs - 1.0 / probs.size) ** 2).sum())
 
 
-def _conditional_entropy(table: np.ndarray) -> float:
-    h = 0.0
-    for col in table.T:
-        pb = float(col.sum())
-        if pb > 0.0:
-            h += pb * _entropy(col / pb)
-    return h
+def _conditional_entropy(table: np.ndarray):
+    """H(A|B) = H(A,B) - H(B) with A on the second-to-last axis."""
+    joint = table.reshape(*table.shape[:-2], -1)
+    return _entropy(joint) - _entropy(np.einsum("...ab->...b", table))
 
 
-def _mutual_information(table: np.ndarray) -> float:
-    return _entropy(table.sum(axis=1)) - _conditional_entropy(table)
+def _mutual_information(table: np.ndarray):
+    return _entropy(np.einsum("...ab->...a", table)) - _conditional_entropy(table)

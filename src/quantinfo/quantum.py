@@ -169,7 +169,7 @@ def spectrum(rho) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy of the spectrum, in bits."""
-    return _entropy(spectrum(rho))
+    return float(_entropy(spectrum(rho)))
 
 
 def purity(rho) -> float:

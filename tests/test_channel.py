@@ -9,6 +9,7 @@ from quantinfo import (
     as_povm,
     basis_projectors,
     bloch_state,
+    bloch_vector,
     build_mubs,
     computational_basis,
     cq_ensemble,
@@ -21,14 +22,44 @@ from quantinfo import (
     random_ensemble,
     random_povm,
     specification_information,
+    spin_basis,
     wrong_basis_demo,
 )
+from quantinfo.channel import _joint, _qubit_born
+from quantinfo.probability import _mutual_information
 
 ZERO = pure_state([1, 0])
 ONE = pure_state([0, 1])
 PLUS = pure_state([1, 1])
 
 ZERO_PLUS = cq_ensemble([0.5, 0.5], [ZERO, PLUS], ("0", "+"))
+TRINE = cq_ensemble([1 / 3] * 3, [bloch_state([np.sin(a), 0.0, np.cos(a)])
+                                  for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)])
+
+
+def reference_binary_entropy(x):
+    arr = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    out = np.zeros_like(arr)
+    interior = (arr > 0.0) & (arr < 1.0)
+    v = arr[interior]
+    out[interior] = -v * np.log2(v) - (1.0 - v) * np.log2(1.0 - v)
+    return out
+
+
+def reference_qubit_mutual_information(priors, overlaps):
+    """Binary-entropy MI of a spin readout; overlaps[a, k] = r_a . n_k."""
+    conditional = np.clip((1.0 + overlaps) / 2.0, 0.0, 1.0)
+    return (reference_binary_entropy(priors @ conditional)
+            - priors @ reference_binary_entropy(conditional))
+
+
+def bloch_of(ensemble):
+    return np.array([bloch_vector(rho) for rho in ensemble.states])
+
+
+def sampled_directions(count, seed):
+    directions = np.random.default_rng(seed).standard_normal((count, 3))
+    return directions / np.linalg.norm(directions, axis=1, keepdims=True)
 
 
 class TestEnsembleValidation:
@@ -143,6 +174,12 @@ class TestAccessibleInformation:
         gap = holevo_chi(ZERO_PLUS) - result.value
         assert gap > 0.19
 
+    def test_trine_frozen_value(self):
+        result = accessible_information(TRINE)
+        assert result.value == pytest.approx(0.459148, abs=1e-6)
+        assert result.value == pytest.approx(
+            measured_information(TRINE, result.effects), abs=1e-12)
+
     def test_qubit_search_is_deterministic(self):
         first = accessible_information(ZERO_PLUS, seed=0)
         second = accessible_information(ZERO_PLUS, seed=99)
@@ -191,9 +228,29 @@ class TestAccessibleInformation:
             accessible_information(ens, restarts=0)
         with pytest.raises(ValidationError):
             accessible_information(ens, steps=0)
-        with pytest.raises(ValidationError):
-            accessible_information(ZERO_PLUS, grid=(0, 10))
 
+
+class TestQubitScorer:
+    ENSEMBLES = [ZERO_PLUS, TRINE, cq_ensemble([0.5, 0.5], [ZERO, ONE])] + [
+        random_ensemble(2, 2 + i % 4, seed=1200 + i) for i in range(6)]
+
+    @pytest.mark.parametrize("index", range(len(ENSEMBLES)))
+    def test_matches_binary_entropy_reference(self, index):
+        ens = self.ENSEMBLES[index]
+        bloch = bloch_of(ens)
+        directions = sampled_directions(200, seed=index)
+        scores = _mutual_information(_joint(ens.priors, _qubit_born(bloch, directions)))
+        expected = reference_qubit_mutual_information(ens.priors, bloch @ directions.T)
+        assert np.max(np.abs(scores - expected)) < 1e-14
+
+    @pytest.mark.parametrize("index", range(len(ENSEMBLES)))
+    def test_born_weights_equal_joint_distribution(self, index):
+        ens = self.ENSEMBLES[index]
+        directions = sampled_directions(10, seed=100 + index)
+        tables = _joint(ens.priors, _qubit_born(bloch_of(ens), directions))
+        for direction, table in zip(directions, tables):
+            effects = basis_projectors(spin_basis(direction))
+            assert np.max(np.abs(table - joint_distribution(ens, effects))) < 1e-14
 
 class TestWrongBasisDemo:
     def test_aligned_readout_is_lossless(self):

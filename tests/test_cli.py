@@ -58,15 +58,31 @@ class TestExitCodes:
         assert "subcommand" in out or "usage" in out
 
 
-def test_module_entry_point_runs_main():
+def module_env():
     src = str(Path(quantinfo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_module_entry_point_runs_main():
     done = subprocess.run(
         [sys.executable, "-m", "quantinfo.cli", "entropy", "--dist", "0.5,0.5", "--json"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=module_env(), timeout=60)
     assert done.returncode == 0
     assert json.loads(done.stdout)["entropy_bits"] == 1.0
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quantinfo.cli", "entropy", "--dist", "0.5,0.5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=module_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 1
 
 
 class TestDistributionWindow:
@@ -165,6 +181,12 @@ class TestMubCommands:
         code, out, _ = cli(capsys, "mub-verify", "--dim", "3")
         assert code == 0
         assert out.count("pass") == 2
+
+    def test_verify_oversized_dim_fails_fast(self, capsys):
+        code, out, err = cli(capsys, "mub-verify", "--dim", "101")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_verify_composite_dim_fails(self, capsys):
         code, _, err = cli(capsys, "mub-verify", "--dim", "6")

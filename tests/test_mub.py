@@ -113,7 +113,7 @@ class TestConstruction:
 
 
 class TestVerification:
-    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 17])
     def test_constructed_sets_pass_both_checks(self, n):
         bases = build_mubs(n)
         overlap = verify_unbiased(bases)
@@ -143,6 +143,11 @@ class TestVerification:
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(ValidationError):
             verify_unbiased([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
+
+    def test_hyperplane_rejects_oversized_set(self):
+        # 48 * 47^3 deviation-operator entries exceed 2^22
+        with pytest.raises(ValidationError, match="cap"):
+            hyperplane_orthogonality(build_mubs(47))
 
     def test_hyperplane_matches_overlap_verdict(self):
         z = np.eye(2, dtype=complex)

@@ -21,7 +21,7 @@ from quantinfo import (
     spectrum,
     surprise,
 )
-from quantinfo.probability import ENTRY_TOL
+from quantinfo.probability import ENTRY_TOL, _conditional_entropy, _entropy, _mutual_information
 from quantinfo.quantum import EIGENVALUE_TOL
 
 # Every call site of the shared clamp: build an input whose one noisy entry is
@@ -224,6 +224,46 @@ class TestJointMeasures:
             conditional_entropy([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValidationError):
             mutual_information([0.5, 0.5])
+
+
+def reference_conditional_entropy(table):
+    """Column loop: sum_b p(b) H(A | B = b), zero-probability columns skipped."""
+    h = 0.0
+    for col in table.T:
+        pb = float(col.sum())
+        if pb > 0.0:
+            pos = col[col > 0.0] / pb
+            h -= pb * float((pos * np.log2(pos)).sum())
+    return h
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("shape", [(40, 1, 1), (40, 3, 2), (40, 2, 5), (7, 4, 6)])
+    def test_match_column_loop_on_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        k, a, b = shape
+        tables = rng.dirichlet(np.ones(a * b), size=k).reshape(shape)
+        if b > 1:
+            tables[::3, :, 0] = 0.0  # zero-probability columns
+        if a > 1:
+            tables[1::4, 0, :] = 0.0  # and rows
+        tables /= tables.sum(axis=(1, 2), keepdims=True)
+        conditional = _conditional_entropy(tables)
+        mutual = _mutual_information(tables)
+        assert conditional.shape == mutual.shape == (k,)
+        for table, h, i in zip(tables, conditional, mutual):
+            expected = reference_conditional_entropy(table)
+            assert h == pytest.approx(expected, abs=1e-14)
+            assert i == pytest.approx(shannon_entropy(table.sum(axis=1)) - expected, abs=1e-14)
+
+    def test_entropy_batches_over_leading_axes(self):
+        probs = np.random.default_rng(3).dirichlet(np.ones(5), size=(4, 6))
+        probs[0, 0, :2] = 0.0
+        probs[0, 0] /= probs[0, 0].sum()
+        batched = _entropy(probs)
+        assert batched.shape == (4, 6)
+        for row, h in zip(probs.reshape(-1, 5), batched.ravel()):
+            assert h == pytest.approx(shannon_entropy(row), abs=1e-14)
 
 
 class TestMajorization:
