@@ -21,14 +21,13 @@ from .probability import (
     as_distribution,
 )
 from .quantum import (
+    _as_matrices,
     _spectrum,
     EIGENVALUE_TOL,
     HERMITIAN_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    as_density,
-    as_hermitian,
     basis_projectors,
     pure_state,
     random_density,
@@ -81,43 +80,33 @@ class WrongBasisReport:
 def cq_ensemble(priors, states, letters=None) -> CqEnsemble:
     """Validate and assemble a classical-quantum ensemble."""
     dist = as_distribution(priors)
-    checked = tuple(as_density(rho) for rho in states)
-    if len(checked) == 0:
-        raise ValidationError("ensemble needs at least one state")
+    checked = _as_matrices(states, 3, "density")
     if dist.size != len(checked):
         raise ValidationError(
             f"{dist.size} priors for {len(checked)} states")
-    dim = checked[0].shape[0]
-    if any(rho.shape[0] != dim for rho in checked):
-        raise ValidationError("ensemble states have mismatched dimensions")
     if letters is None:
         names = tuple(f"a{i}" for i in range(len(checked)))
     else:
         names = tuple(str(s) for s in letters)
         if len(names) != len(checked):
             raise ValidationError(f"{len(names)} letters for {len(checked)} states")
-    return CqEnsemble(names, dist, checked)
+    return CqEnsemble(names, dist, tuple(checked))
 
 
 def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
     """Validate a POVM: Hermitian positive effects that sum to the identity."""
-    checked = [as_hermitian(e) for e in effects]
-    if not checked:
-        raise ValidationError("a POVM needs at least one effect")
-    n = checked[0].shape[0]
+    checked = _as_matrices(effects, 3, "hermitian")
+    n = checked.shape[1]
     if dim is not None and n != dim:
         raise ValidationError(f"effects are {n}-dimensional, expected {dim}")
-    if any(e.shape[0] != n for e in checked):
-        raise ValidationError("effects have mismatched dimensions")
-    smallest = np.linalg.eigvalsh(np.stack(checked))[:, 0]
+    smallest = np.linalg.eigvalsh(checked)[:, 0]
     negative = np.flatnonzero(smallest < -EIGENVALUE_TOL)
     if negative.size:
         raise ValidationError(f"effect {negative[0]} is not positive semidefinite: "
                               f"min eigenvalue {smallest[negative[0]]:.3e}")
-    total = sum(checked)
-    if np.max(np.abs(total - np.eye(n))) > HERMITIAN_TOL:
+    if np.max(np.abs(checked.sum(axis=0) - np.eye(n))) > HERMITIAN_TOL:
         raise ValidationError("effects do not sum to the identity")
-    return checked
+    return list(checked)
 
 
 def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
@@ -134,10 +123,8 @@ def measured_information(ensemble: CqEnsemble, effects) -> float:
 
 def holevo_chi(ensemble: CqEnsemble) -> float:
     """S(average state) - sum_a p_a S(rho_a): the readout information ceiling."""
-    chi = _entropy(_spectrum(ensemble.average_state()))
-    for weight, rho in zip(ensemble.priors, ensemble.states):
-        chi -= weight * _entropy(_spectrum(rho))
-    return float(chi)
+    entropies = _entropy(_spectrum(np.stack(ensemble.states)))
+    return float(_entropy(_spectrum(ensemble.average_state())) - ensemble.priors @ entropies)
 
 
 def specification_information(ensemble: CqEnsemble) -> float:

@@ -360,8 +360,6 @@ def _cmd_coding(args):
 def _cmd_questions(args):
     dist = _cli_distribution(args.dist)
     entropy = probability.shannon_entropy(dist)
-    if args.block < 1:
-        raise ValidationError("block length must be >= 1")
     if args.block == 1:
         code = coding.question_strategy(dist)
         kraft = sum(2.0 ** -length for length in code.lengths)

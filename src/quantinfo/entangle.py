@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .probability import _quadratic, as_distribution
-from .quantum import EIGENVALUE_TOL, HERMITIAN_TOL, PAULIS, as_density, as_hermitian, pure_state
+from .quantum import (
+    EIGENVALUE_TOL, HERMITIAN_TOL, PAULIS, _hermitian_pair, as_density, as_hermitian, pure_state)
 
 COMMUTATOR_TOL = 1e-9
 EIGENVALUE_MATCH_TOL = 1e-6
@@ -50,10 +51,7 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     the joint eigenspace is not one-dimensional (its dimension is named in
     the error).
     """
-    a = as_hermitian(obs_a)
-    b = as_hermitian(obs_b)
-    if a.shape != b.shape:
-        raise ValidationError("observables must have equal shapes")
+    a, b = _hermitian_pair(obs_a, obs_b)
     if np.max(np.abs(a @ b - b @ a)) > COMMUTATOR_TOL:
         raise ValidationError("observables do not commute")
     try:
@@ -148,4 +146,4 @@ def info_split(rho) -> InfoSplit:
 def _question_information(state: np.ndarray, question: np.ndarray) -> float:
     """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and projector."""
     yes = float(np.einsum("ij,ji->", state, question).real)
-    return _quadratic(as_distribution([yes, 1.0 - yes], entry_tol=EIGENVALUE_TOL))
+    return float(_quadratic(as_distribution([yes, 1.0 - yes], entry_tol=EIGENVALUE_TOL)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _quadratic, as_distribution
-from .quantum import _born, _fix_column_phases, as_basis, as_density
+from .probability import ENTRY_TOL, SUM_TOL, _clamp, _quadratic
+from .quantum import _as_matrices, _born, _fix_column_phases, as_density
 
 UNBIASED_TOL = 1e-9
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the deviation operators or their Gram matrix
@@ -77,8 +77,7 @@ def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationRepor
     are rejected before either is built (a complete set passes up to n = 43).
     """
     checked = _common_dimension(bases)
-    n = checked[0].shape[0]
-    count = len(checked)
+    count, n = checked.shape[:2]
     if max(count * n ** 3, (count * n) ** 2) > HYPERPLANE_MAX_ENTRIES:
         raise ValidationError(
             f"{count} bases of dimension {n} exceed the hyperplane check's cap of "
@@ -105,10 +104,10 @@ def information_sum(rho, bases) -> float:
     state = as_density(rho)
     checked = _complete_set(bases)
     n = state.shape[0]
-    if checked[0].shape[0] != n:
+    if checked.shape[1] != n:
         raise ValidationError(
-            f"bases are {checked[0].shape[0]}-dimensional but the state is {n}-dimensional")
-    return float(sum(_quadratic(_born(state, u)) for u in checked))
+            f"bases are {checked.shape[1]}-dimensional but the state is {n}-dimensional")
+    return float(_quadratic(_born(state, checked)).sum())
 
 
 def reconstruct(prob_lists, bases) -> np.ndarray:
@@ -120,33 +119,30 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
     deliberately not enforced; use smallest_eigenvalue to diagnose.
     """
     checked = _complete_set(bases)
-    n = checked[0].shape[0]
-    dists = [as_distribution(p) for p in prob_lists]
+    n = checked.shape[1]
+    dists = _clamp(prob_lists, 2, "probability vector", ENTRY_TOL, SUM_TOL, axis=-1)
     if len(dists) != n + 1:
         raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
-    if any(d.size != n for d in dists):
+    if dists.shape[1] != n:
         raise ValidationError(f"each outcome distribution must have {n} entries")
-    deviations = np.array(dists) - 1.0 / n
-    stack = np.array(checked)
-    rho = (np.einsum("ji,jai,jbi->ab", deviations, stack, stack.conj())
+    deviations = dists - 1.0 / n
+    rho = (np.einsum("ji,jai,jbi->ab", deviations, checked, checked.conj())
            + np.eye(n) * (1.0 - deviations.sum()) / n)
     return (rho + rho.conj().T) / 2.0
 
 
-def _common_dimension(bases) -> list[np.ndarray]:
-    checked = [as_basis(u) for u in bases]
+def _common_dimension(bases) -> np.ndarray:
+    """Validate at least two bases of one dimension as a (count, n, n) stack."""
+    checked = _as_matrices(bases, 3, "basis")
     if len(checked) < 2:
         raise ValidationError("need at least two bases")
-    n = checked[0].shape[0]
-    if any(u.shape[0] != n for u in checked):
-        raise ValidationError("bases have mismatched dimensions")
     return checked
 
 
-def _complete_set(bases) -> list[np.ndarray]:
+def _complete_set(bases) -> np.ndarray:
     """Validate a complete set: n+1 bases of dimension n, mutually unbiased."""
     checked = _common_dimension(bases)
-    n = checked[0].shape[0]
+    n = checked.shape[1]
     if len(checked) != n + 1:
         raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")
     report = _overlap_report(checked, UNBIASED_TOL)
@@ -156,18 +152,18 @@ def _complete_set(bases) -> list[np.ndarray]:
     return checked
 
 
-def _overlap_report(checked: list[np.ndarray], tol: float) -> DeviationReport:
-    n = checked[0].shape[0]
+def _overlap_report(checked: np.ndarray, tol: float) -> DeviationReport:
+    # one product of basis j with all later bases, not a (count n)^2 Gram
+    # matrix; the first maximum in (j, k, i, m) order wins
+    count, n = checked.shape[:2]
     worst = 0.0
     worst_pair = (0, 0, 0, 0)
-    for j in range(len(checked)):
-        for k in range(j + 1, len(checked)):
-            overlap = np.abs(checked[j].conj().T @ checked[k]) ** 2
-            deviation = np.abs(overlap - 1.0 / n)
-            i, m = np.unravel_index(np.argmax(deviation), deviation.shape)
-            if deviation[i, m] > worst:
-                worst = float(deviation[i, m])
-                worst_pair = (j, int(i), k, int(m))
+    for j in range(count - 1):
+        deviation = np.abs(np.abs(checked[j].conj().T @ checked[j + 1:]) ** 2 - 1.0 / n)
+        k, i, m = np.unravel_index(np.argmax(deviation), deviation.shape)
+        if deviation[k, i, m] > worst:
+            worst = float(deviation[k, i, m])
+            worst_pair = (j, int(i), j + 1 + int(k), int(m))
     return DeviationReport(worst, worst_pair, tol, worst < tol)
 
 

@@ -54,7 +54,7 @@ def quadratic_information(p, norm: float = 1.0) -> float:
     """
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValidationError("normalization constant must be positive")
-    return _quadratic(as_distribution(p), norm)
+    return float(_quadratic(as_distribution(p), norm))
 
 
 def grouping_residual(p) -> float:
@@ -155,27 +155,39 @@ def random_distribution(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).dirichlet(np.ones(n))
 
 
-def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None = None) -> np.ndarray:
+def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None = None,
+           axis: int | None = None) -> np.ndarray:
     """The one clamp routine behind the probability validators.
 
-    Rejects a wrong shape, non-finite entries and entries below -entry_tol,
-    and zeroes the rest of the negatives. Given sum_tol, a total within
-    sum_tol of 1 is renormalized and one further off is rejected.
+    Rejects a ragged or wrong-shaped array, non-finite entries and entries
+    below -entry_tol, and zeroes the rest of the negatives. Given sum_tol, a
+    total within sum_tol of 1 is renormalized and one further off is
+    rejected; the total is the whole array's, or each last-axis row's for
+    axis=-1.
     """
-    arr = np.asarray(values, dtype=float).copy()
+    arr = _as_array(values, float, what).copy()
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"expected a nonempty {ndim}-d {what}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} entries must be finite")
-    if np.any(arr < -entry_tol):
+    if (arr < -entry_tol).any():
         raise ValidationError(f"negative {what} entry: min {arr.min():.3e}")
     arr[arr < 0.0] = 0.0
     if sum_tol is None:
         return arr
-    total = float(arr.sum())
-    if abs(total - 1.0) >= sum_tol:
-        raise ValidationError(f"{what} sums to {total!r}, not 1")
-    return arr / total
+    totals = arr.sum(axis=axis, keepdims=True)
+    drift = abs(totals - 1.0)
+    if np.count_nonzero(drift >= sum_tol):
+        raise ValidationError(f"{what} sums to {float(totals.flat[drift.argmax()])!r}, not 1")
+    return arr / totals
+
+
+def _as_array(values, dtype, what: str) -> np.ndarray:
+    """np.asarray that rejects a ragged list, such as matrices of two sizes."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: mismatched dimensions or non-numeric entries") from exc
 
 
 # Kernels below take arrays that a validator above has already checked. The
@@ -188,8 +200,8 @@ def _entropy(probs: np.ndarray):
     return -np.einsum("...i,...i->...", probs, logs)
 
 
-def _quadratic(probs: np.ndarray, norm: float = 1.0) -> float:
-    return float(norm * ((probs - 1.0 / probs.size) ** 2).sum())
+def _quadratic(probs: np.ndarray, norm: float = 1.0):
+    return norm * ((probs - 1.0 / probs.shape[-1]) ** 2).sum(axis=-1)
 
 
 def _conditional_entropy(table: np.ndarray):

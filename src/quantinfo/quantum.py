@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _entropy, as_distribution
+from .probability import SUM_TOL, _as_array, _clamp, _entropy
 
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -29,14 +29,7 @@ PAULIS = {
 
 def as_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrized matrix (M + M*)/2."""
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-        raise ValidationError("expected a nonempty square matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("matrix entries must be finite")
-    if np.max(np.abs(arr - arr.conj().T)) > tol:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    return (arr + arr.conj().T) / 2.0
+    return _as_matrices(matrix, 2, "hermitian", tol)
 
 
 def as_density(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -45,28 +38,12 @@ def as_density(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
     The trace is renormalized to exactly 1 when within tolerance; eigenvalues
     down to -EIGENVALUE_TOL are accepted as rounding noise.
     """
-    rho = as_hermitian(matrix, tol)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace is {trace!r}, not 1")
-    rho = rho / trace
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < -EIGENVALUE_TOL:
-        raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {smallest:.3e}")
-    return rho
+    return _as_matrices(matrix, 2, "density", tol)
 
 
 def as_basis(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate an orthonormal basis given as the columns of a unitary matrix."""
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-        raise ValidationError("expected a nonempty square matrix of basis columns")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("basis entries must be finite")
-    gram = arr.conj().T @ arr
-    if np.max(np.abs(gram - np.eye(arr.shape[0]))) > tol:
-        raise ValidationError("basis columns are not orthonormal within tolerance")
-    return arr
+    return _as_matrices(matrix, 2, "basis", tol)
 
 
 def pure_state(vector) -> np.ndarray:
@@ -243,23 +220,54 @@ def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:
     return state, u
 
 
-def _hermitian_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    ha, hb = as_hermitian(a), as_hermitian(b)
-    if ha.shape != hb.shape:
-        raise ValidationError("matrices must have equal shapes")
-    return ha, hb
+def _hermitian_pair(a, b) -> np.ndarray:
+    return _as_matrices([a, b], 3, "hermitian")
+
+
+def _as_matrices(values, ndim: int, kind: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """The one matrix validator: a finite square matrix (ndim 2) or a stack of them (ndim 3).
+
+    kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
+    "density" also renormalizes a trace within TRACE_TOL of 1 and rejects
+    eigenvalues below -EIGENVALUE_TOL.
+    """
+    arr = _as_array(values, complex, "matrices")
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
+        raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
+    if kind == "basis":
+        if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > tol:
+            raise ValidationError("basis columns are not orthonormal within tolerance")
+        return arr
+    adjoint = arr.conj().swapaxes(-1, -2)
+    if np.abs(arr - adjoint).max() > tol:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    arr = (arr + adjoint) / 2.0
+    if kind == "density":
+        traces = np.trace(arr, axis1=-2, axis2=-1).real
+        drift = abs(traces - 1.0)
+        if np.count_nonzero(drift > TRACE_TOL):
+            raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
+        arr = arr / traces[..., None, None]
+        smallest = np.linalg.eigvalsh(arr)[..., 0]
+        if np.count_nonzero(smallest < -EIGENVALUE_TOL):
+            raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
+    return arr
 
 
 # Kernels below take a state from as_density and a basis from as_basis. Born weights
-# and spectra clamp at EIGENVALUE_TOL, the negative eigenvalue as_density accepts.
+# and spectra clamp at EIGENVALUE_TOL, the negative eigenvalue as_density accepts,
+# and batch over a stack of bases or states.
 
 def _born(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    diag = np.einsum("ji,jk,ki->i", u.conj(), state, u).real
-    return as_distribution(diag, entry_tol=EIGENVALUE_TOL)
+    diag = np.einsum("...ji,jk,...ki->...i", u.conj(), state, u).real
+    return _clamp(diag, diag.ndim, "probability vector", EIGENVALUE_TOL, SUM_TOL, axis=-1)
 
 
 def _spectrum(state: np.ndarray) -> np.ndarray:
-    return as_distribution(np.linalg.eigvalsh(state)[::-1], entry_tol=EIGENVALUE_TOL)
+    values = np.linalg.eigvalsh(state)[..., ::-1]
+    return _clamp(values, values.ndim, "probability vector", EIGENVALUE_TOL, SUM_TOL, axis=-1)
 
 
 def _purity(state: np.ndarray) -> float:

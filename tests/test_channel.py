@@ -23,6 +23,7 @@ from quantinfo import (
     random_povm,
     specification_information,
     spin_basis,
+    von_neumann_entropy,
     wrong_basis_demo,
 )
 from quantinfo.channel import _joint, _qubit_born
@@ -51,6 +52,12 @@ def reference_qubit_mutual_information(priors, overlaps):
     conditional = np.clip((1.0 + overlaps) / 2.0, 0.0, 1.0)
     return (reference_binary_entropy(priors @ conditional)
             - priors @ reference_binary_entropy(conditional))
+
+
+def reference_holevo_chi(ensemble):
+    """S(average) - sum_a p_a S(rho_a), one von Neumann entropy per state."""
+    return von_neumann_entropy(ensemble.average_state()) - sum(
+        p * von_neumann_entropy(rho) for p, rho in zip(ensemble.priors, ensemble.states))
 
 
 def bloch_of(ensemble):
@@ -82,7 +89,7 @@ class TestEnsembleValidation:
             cq_ensemble([0.5, 0.5], [ZERO, ONE], ("only",))
 
     def test_state_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="mismatched dimensions"):
             cq_ensemble([0.5, 0.5], [ZERO, np.eye(3) / 3])
 
     def test_empty_rejected(self):
@@ -104,7 +111,7 @@ class TestPovmValidation:
             as_povm([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="mismatched dimensions"):
             as_povm([np.eye(2) / 2, np.eye(3) / 3])
 
     def test_declared_dimension_enforced(self):
@@ -156,6 +163,12 @@ class TestHolevoBound:
             assert measured_information(ens, povm) <= chi + 1e-9
             projective = basis_projectors(random_basis(n, seed=800 + i))
             assert measured_information(ens, projective) <= chi + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_matches_per_state_entropies(self, n):
+        for i in range(5):
+            ens = random_ensemble(n, 1 + i, seed=50 * n + i)
+            assert abs(holevo_chi(ens) - reference_holevo_chi(ens)) < 1e-14
 
     def test_coarse_graining_cannot_gain_information(self):
         for i in range(10):

@@ -129,6 +129,8 @@ class TestVerification:
         assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
         j, i, k, m = report.worst_pair
         assert (j, k) == (0, 1)
+        # every pair of these three ties at exactly 1/2: the first pair wins
+        assert verify_unbiased([z, swapped, z]).worst_pair == (0, 0, 1, 0)
 
     def test_too_many_bases_reported_not_raised(self):
         bases = build_mubs(2) + [np.eye(2, dtype=complex)]
@@ -179,7 +181,7 @@ class TestHyperplaneAgainstReference:
         assert j < k or report.worst_pair == (0, 0, 0, 0)
         assert report.passed == (not rotated)
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
     def test_unbiased_matches_pairwise_scan(self, n):
         bases = rotated_set(n, seed=n)
         worst, pair = reference_unbiased(bases)
@@ -190,6 +192,8 @@ class TestHyperplaneAgainstReference:
     def test_relabeled_copy_reports_a_failing_pair(self):
         z = np.eye(2, dtype=complex)
         bases = [z, z[:, ::-1]]
+        overlap = verify_unbiased(bases)
+        assert (overlap.max_deviation, overlap.worst_pair) == reference_unbiased(bases)
         report = hyperplane_orthogonality(bases)
         worst, _, _ = reference_hyperplane(bases)
         assert not report.passed
@@ -227,6 +231,14 @@ class TestInformationSum:
                 assert information_sum(rho, bases) == pytest.approx(
                     total_information(rho), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
+    def test_equals_sum_of_per_basis_terms(self, n):
+        bases = build_mubs(n)
+        for i in range(5):
+            rho = random_density(n, seed=200 * n + i, rank=i % n + 1)
+            per_basis = sum(quadratic_information(born_probabilities(rho, u)) for u in bases)
+            assert abs(information_sum(rho, bases) - per_basis) < 1e-14
+
     def test_bloch_example_per_basis_split(self):
         rho = bloch_state([0.3, 0.0, 0.4])
         bases = build_mubs(2)
@@ -250,6 +262,10 @@ class TestInformationSum:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             information_sum(np.eye(3) / 3, build_mubs(2))
+        bases = build_mubs(3)
+        bases[1] = bases[1][:, :2]  # a 3x2 member
+        with pytest.raises(ValidationError, match="mismatched dimensions"):
+            information_sum(np.eye(3) / 3, bases)
 
 
 class TestReconstruction:
@@ -298,6 +314,8 @@ class TestReconstruction:
         bases = build_mubs(2)
         with pytest.raises(ValidationError):
             reconstruct([[0.5, 0.25, 0.25]] * 3, bases)
+        with pytest.raises(ValidationError, match="mismatched dimensions"):
+            reconstruct([[0.5, 0.5], [1.0], [0.5, 0.5]], bases)
 
     def test_biased_bases_rejected(self):
         z = np.eye(2, dtype=complex)

@@ -61,6 +61,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             as_basis(np.array([[1, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("check, member", [
+        (as_hermitian, np.eye(2) / 2),
+        (as_density, np.eye(2) / 2),
+        (as_basis, np.eye(2)),
+        (lambda stack: born_probabilities(stack, np.eye(2)), np.eye(2) / 2),
+        (lambda stack: born_probabilities(np.eye(2) / 2, stack), np.eye(2)),
+        (total_information, np.eye(2) / 2),
+    ], ids=["as_hermitian", "as_density", "as_basis", "born_state", "born_basis",
+            "total_information"])
+    def test_stack_rejected_by_single_matrix_entry_points(self, check, member):
+        # the validators check stacks internally; a public single-matrix
+        # entry point still refuses a stack of valid members
+        check(member)
+        with pytest.raises(ValidationError):
+            check(np.stack([member, member]))
+
     def test_bloch_length_enforced(self):
         with pytest.raises(ValidationError):
             bloch_state([0.8, 0.8, 0.8])
