@@ -39,22 +39,25 @@ QUBIT_GRID = (180, 360)  # polar x azimuthal points of the exhaustive qubit scan
 
 @dataclass(frozen=True)
 class CqEnsemble:
-    """Classical letters with priors, each encoded as a density operator."""
+    """Classical letters with priors, each encoded as a density operator.
+
+    states is the checked (letters, n, n) stack; states[a] is letter a's state.
+    """
 
     letters: tuple[str, ...]
     priors: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        return np.einsum("a,aij->ij", self.priors, np.stack(self.states))
+        return np.einsum("a,aij->ij", self.priors, self.states)
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def cq_ensemble(priors, states, letters=None) -> CqEnsemble:
         names = tuple(str(s) for s in letters)
         if len(names) != len(checked):
             raise ValidationError(f"{len(names)} letters for {len(checked)} states")
-    return CqEnsemble(names, dist, tuple(checked))
+    return CqEnsemble(names, dist, checked)
 
 
 def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
@@ -112,7 +115,7 @@ def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
 def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
     """Joint table p(letter, outcome) = prior * Tr(rho_letter E_outcome)."""
     povm = np.stack(as_povm(effects, ensemble.dim))
-    born = np.einsum("aij,kji->ak", np.stack(ensemble.states), povm).real
+    born = np.einsum("aij,kji->ak", ensemble.states, povm).real
     return _joint(ensemble.priors, born)
 
 
@@ -123,7 +126,7 @@ def measured_information(ensemble: CqEnsemble, effects) -> float:
 
 def holevo_chi(ensemble: CqEnsemble) -> float:
     """S(average state) - sum_a p_a S(rho_a): the readout information ceiling."""
-    entropies = _entropy(_spectrum(np.stack(ensemble.states)))
+    entropies = _entropy(_spectrum(ensemble.states))
     return float(_entropy(_spectrum(ensemble.average_state())) - ensemble.priors @ entropies)
 
 
@@ -232,7 +235,7 @@ def _direction(theta, phi) -> np.ndarray:
 
 def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
     paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-    bloch = np.einsum("aij,sji->as", np.stack(ensemble.states), paulis).real
+    bloch = np.einsum("aij,sji->as", ensemble.states, paulis).real
 
     def best(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float]:
         born = _qubit_born(bloch, _direction(thetas[:, None], phis).reshape(-1, 3))
@@ -254,7 +257,7 @@ def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
 def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int) -> np.ndarray:
     n = ensemble.dim
     priors = ensemble.priors
-    states = np.stack(ensemble.states)
+    states = ensemble.states
 
     def score(basis: np.ndarray) -> float:
         # p(a, i) = prior_a <u_i| rho_a |u_i>, computed without revalidation

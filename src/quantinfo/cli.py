@@ -434,7 +434,8 @@ def _cmd_selftest(args):
     results = selftest.run_all()
     passed = all(r.passed for r in results)
     payload = {"command": "selftest", "passed": passed,
-               "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+               "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                           "elapsed_s": r.elapsed_s}
                           for r in results]}
     lines = [selftest.format_line(r) for r in results]
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")

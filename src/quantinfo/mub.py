@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import ENTRY_TOL, SUM_TOL, _clamp, _quadratic
-from .quantum import _as_matrices, _born, _fix_column_phases, as_density
+from .probability import ENTRY_TOL, SUM_TOL, _as_array, _clamp, _memo, _quadratic
+from .quantum import HERMITIAN_TOL, _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
 UNBIASED_TOL = 1e-9
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the deviation operators or their Gram matrix
@@ -120,7 +120,8 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
     """
     checked = _complete_set(bases)
     n = checked.shape[1]
-    dists = _clamp(prob_lists, 2, "probability vector", ENTRY_TOL, SUM_TOL, axis=-1)
+    what = "probability vector"
+    dists = _memo(_clamp, _as_array(prob_lists, float, what), 2, what, ENTRY_TOL, SUM_TOL, -1)
     if len(dists) != n + 1:
         raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
     if dists.shape[1] != n:
@@ -140,8 +141,16 @@ def _common_dimension(bases) -> np.ndarray:
 
 
 def _complete_set(bases) -> np.ndarray:
-    """Validate a complete set: n+1 bases of dimension n, mutually unbiased."""
-    checked = _common_dimension(bases)
+    """Validate a complete set: n+1 bases of dimension n, mutually unbiased.
+
+    Each distinct set is checked once; the basis check runs inside this
+    one rather than through _as_matrices, so a set is stored once.
+    """
+    return _memo(_check_complete_set, _as_array(bases, complex, "matrices"))
+
+
+def _check_complete_set(arr: np.ndarray) -> np.ndarray:
+    checked = _check_matrices(arr, 3, "basis", HERMITIAN_TOL)
     n = checked.shape[1]
     if len(checked) != n + 1:
         raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")

@@ -5,12 +5,18 @@ All entropies are in bits (log base 2), and 0*log(0) is taken as 0 throughout.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from .errors import ValidationError
 
 ENTRY_TOL = 1e-12  # negative entries no worse than this are clamped to zero
 SUM_TOL = 1e-9     # vectors whose sum deviates from 1 by this much are rejected
+
+_MEMO_BYTES = 2 ** 20        # keys plus values the validator memo may hold
+_MEMO_ENTRY_BYTES = 640      # allowance for the Python objects around one entry
 
 
 def as_distribution(p, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
@@ -20,12 +26,14 @@ def as_distribution(p, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL
     within sum_tol of 1 is renormalized. Anything further off is rejected
     rather than silently repaired.
     """
-    return _clamp(p, 1, "probability vector", entry_tol, sum_tol)
+    what = "probability vector"
+    return _memo(_clamp, _as_array(p, float, what), 1, what, entry_tol, sum_tol)
 
 
 def as_joint_distribution(table, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
     """Validate a 2-d joint probability table; same clamping rules as vectors."""
-    return _clamp(table, 2, "joint probability table", entry_tol, sum_tol)
+    what = "joint probability table"
+    return _memo(_clamp, _as_array(table, float, what), 2, what, entry_tol, sum_tol)
 
 
 def shannon_entropy(p) -> float:
@@ -98,24 +106,17 @@ def majorizes(p, q, tol: float = 1e-9) -> bool:
     Vectors of different lengths are compared after padding with zeros. The
     uniform distribution is majorized by everything of its length.
     """
-    a = np.sort(as_distribution(p))[::-1]
-    b = np.sort(as_distribution(q))[::-1]
-    size = max(a.size, b.size)
-    a = np.pad(a, (0, size - a.size))
-    b = np.pad(b, (0, size - b.size))
-    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - tol))
+    a, b = as_distribution(p), as_distribution(q)
+    padded = np.zeros((2, max(a.size, b.size)))
+    padded[0, :a.size] = np.sort(a)[::-1]
+    padded[1, :b.size] = np.sort(b)[::-1]
+    sums = np.cumsum(padded, axis=1)
+    return bool((sums[0] >= sums[1] - tol).all())
 
 
 def as_doubly_stochastic(matrix, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
     """Validate a square matrix with nonnegative entries and unit row/column sums."""
-    arr = _clamp(matrix, 2, "matrix", entry_tol)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError("expected a nonempty square matrix")
-    if np.any(np.abs(arr.sum(axis=0) - 1.0) >= sum_tol):
-        raise ValidationError("column sums deviate from 1")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) >= sum_tol):
-        raise ValidationError("row sums deviate from 1")
-    return arr
+    return _memo(_doubly_stochastic, _as_array(matrix, float, "matrix"), entry_tol, sum_tol)
 
 
 def apply_doubly_stochastic(matrix, p) -> np.ndarray:
@@ -180,6 +181,69 @@ def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None
     if np.count_nonzero(drift >= sum_tol):
         raise ValidationError(f"{what} sums to {float(totals.flat[drift.argmax()])!r}, not 1")
     return arr / totals
+
+
+def _doubly_stochastic(matrix: np.ndarray, entry_tol: float, sum_tol: float) -> np.ndarray:
+    arr = _clamp(matrix, 2, "matrix", entry_tol)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValidationError("expected a nonempty square matrix")
+    if np.any(np.abs(arr.sum(axis=0) - 1.0) >= sum_tol):
+        raise ValidationError("column sums deviate from 1")
+    if np.any(np.abs(arr.sum(axis=1) - 1.0) >= sum_tol):
+        raise ValidationError("row sums deviate from 1")
+    return arr
+
+
+class _Memo:
+    """Results of passed checks, keyed by the exact content of the checked array.
+
+    The key holds the array's raw bytes (not a digest, so no collision can
+    hand one input another's verdict), its dtype and shape, the check and the
+    check's other arguments. A rejected input stores nothing, so it is
+    checked, and raises, again on every call. Stored values are read-only
+    and a hit returns a copy. An entry costs its key's bytes, its value's
+    bytes (none when the check returned its input: the value is then a view
+    of the key's bytes) and _MEMO_ENTRY_BYTES. Past the budget the least
+    recently used entries are evicted; an entry larger than the budget is
+    not stored.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.size = 0
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, check, arr: np.ndarray, *args):
+        if arr.nbytes + _MEMO_ENTRY_BYTES > self.budget:
+            return check(arr, *args)
+        raw = arr.tobytes()
+        key = (check, arr.dtype, arr.shape, args, raw)
+        entry = self._entries.get(key)  # single dict operations are atomic; the lock guards size
+        if entry is not None:
+            try:
+                self._entries.move_to_end(key)
+            except KeyError:  # another thread evicted it after the lookup
+                pass
+            return entry[0].copy()
+        result = check(arr, *args)
+        if result is arr:
+            value = np.frombuffer(raw, arr.dtype).reshape(arr.shape)
+            size = len(raw) + _MEMO_ENTRY_BYTES
+        else:
+            value = result.copy()
+            value.flags.writeable = False
+            size = len(raw) + value.nbytes + _MEMO_ENTRY_BYTES
+        if size <= self.budget:
+            with self._lock:
+                if self._entries.setdefault(key, (value, size))[0] is value:
+                    self.size += size
+                while self.size > self.budget:
+                    self.size -= self._entries.popitem(last=False)[1][1]
+        return result
+
+
+_memo = _Memo(_MEMO_BYTES)
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import SUM_TOL, _as_array, _clamp, _entropy
+from .probability import SUM_TOL, _as_array, _clamp, _entropy, _memo
 
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -229,9 +229,12 @@ def _as_matrices(values, ndim: int, kind: str, tol: float = HERMITIAN_TOL) -> np
 
     kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
     "density" also renormalizes a trace within TRACE_TOL of 1 and rejects
-    eigenvalues below -EIGENVALUE_TOL.
+    eigenvalues below -EIGENVALUE_TOL. Each distinct input is checked once.
     """
-    arr = _as_array(values, complex, "matrices")
+    return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind, tol)
+
+
+def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.ndarray:
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
         raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
     if not np.isfinite(arr).all():

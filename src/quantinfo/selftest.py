@@ -7,7 +7,8 @@ into this file, so the printed table and the test suite can never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = 0.0  # wall time of the check, set by run_all
 
 
 def format_line(result: CheckResult) -> str:
@@ -267,4 +269,9 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, elapsed_s=time.perf_counter() - start))
+    return results

@@ -345,3 +345,4 @@ class TestSelftestCommand:
         assert code == 0
         assert payload["passed"] is True
         assert len(payload["checks"]) >= 11
+        assert all(check["elapsed_s"] >= 0.0 for check in payload["checks"])

@@ -13,12 +13,14 @@ from quantinfo import (
     hyperplane_orthogonality,
     information_sum,
     quadratic_information,
+    random_basis,
     random_density,
     reconstruct,
     smallest_eigenvalue,
     total_information,
     verify_unbiased,
 )
+from quantinfo.probability import _MEMO_BYTES, _memo
 
 
 def reference_hyperplane(bases):
@@ -258,6 +260,34 @@ class TestInformationSum:
         z = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError):
             information_sum(np.eye(2) / 2, [z, z[:, ::-1], build_mubs(2)[1]])
+
+    def test_relabeled_set_rejected_after_the_real_one(self):
+        # same content size and shape as the accepted set, so only the memo key
+        # (the bytes) tells them apart
+        real = build_mubs(5)
+        rho = random_density(5, seed=310)
+        assert information_sum(rho, real) == pytest.approx(total_information(rho), abs=1e-12)
+        fake = list(real)
+        fake[2] = real[1][:, ::-1]
+        with pytest.raises(ValidationError, match="not mutually unbiased"):
+            information_sum(rho, fake)
+
+    def test_memo_stays_under_its_byte_budget(self):
+        # 40 fresh rotated complete sets at n = 31, about 0.5 MB each
+        n = 31
+        bases = build_mubs(n)
+        for i in range(40):
+            u = random_basis(n, seed=320 + i)
+            rotated = [u @ b for b in bases]
+            rho = random_density(n, seed=360 + i)
+            assert information_sum(rho, rotated) == pytest.approx(
+                total_information(rho), abs=1e-9)
+            assert _memo.size == sum(size for _, size in _memo._entries.values())
+            assert _memo.size <= _MEMO_BYTES
+        assert _memo.size > _MEMO_BYTES // 2  # sets this size are stored, then evicted
+        rotated[2] = rotated[1][:, ::-1]
+        with pytest.raises(ValidationError, match="not mutually unbiased"):
+            information_sum(rho, rotated)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

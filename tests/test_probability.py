@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,15 @@ from quantinfo import (
     spectrum,
     surprise,
 )
-from quantinfo.probability import ENTRY_TOL, _conditional_entropy, _entropy, _mutual_information
+from quantinfo.probability import (
+    ENTRY_TOL,
+    SUM_TOL,
+    _clamp,
+    _conditional_entropy,
+    _entropy,
+    _Memo,
+    _mutual_information,
+)
 from quantinfo.quantum import EIGENVALUE_TOL
 
 # Every call site of the shared clamp: build an input whose one noisy entry is
@@ -67,6 +78,70 @@ class TestValidation:
             as_distribution([])
         with pytest.raises(ValidationError):
             as_distribution([0.5, np.nan])
+
+
+class TestValidationMemo:
+    """Each distinct input is checked once; the memo must never change a verdict."""
+
+    def test_rejected_input_raises_every_time(self):
+        for bad, check in (([0.5, 0.6], as_distribution),
+                           ([[0.6, 0.5], [0.4, 0.5]], as_doubly_stochastic)):
+            for _ in range(2):
+                with pytest.raises(ValidationError):
+                    check(bad)
+
+    @pytest.mark.parametrize("loose_first", [True, False])
+    def test_sum_tolerance_is_part_of_the_key(self, loose_first):
+        p = [0.5, 0.5 + (2e-7 if loose_first else 3e-7)]  # a fresh input for each order
+
+        def loose():
+            assert as_distribution(p, sum_tol=1e-6).sum() == pytest.approx(1.0, abs=1e-15)
+
+        def strict():
+            with pytest.raises(ValidationError):
+                as_distribution(p)
+
+        order = (loose, strict) if loose_first else (strict, loose)
+        for check in order + order:
+            check()
+
+    def test_writing_to_a_result_changes_no_later_result(self):
+        p = np.array([0.25, 0.75 + 1e-10])
+        results = []
+        for _ in range(3):
+            out = as_distribution(p)
+            results.append(out.copy())
+            out[:] = 0.0
+        for later in results[1:]:
+            np.testing.assert_array_equal(later, results[0])
+
+    def test_threads_share_one_memo(self):
+        # a small budget keeps eviction running while eight threads hit and miss
+        memo = _Memo(64 * 1024)
+        pool = [random_distribution(2 + i % 7, seed=1200 + i) for i in range(300)]
+        args = (1, "probability vector", ENTRY_TOL, SUM_TOL)
+        expected = [_clamp(p, *args) for p in pool]
+        wrong = []
+
+        def worker(seed):
+            for k in np.random.default_rng(seed).integers(0, len(pool), 1500):
+                if not np.array_equal(memo(_clamp, pool[k], *args), expected[k]):
+                    wrong.append(int(k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert memo.size == sum(size for _, size in memo._entries.values())
+        assert 0 < memo.size <= memo.budget
 
 
 @pytest.mark.parametrize("site", list(CLAMP_SITES))
@@ -266,7 +341,27 @@ class TestBatchedKernels:
             assert h == pytest.approx(shannon_entropy(row), abs=1e-14)
 
 
+def reference_majorizes(p, q, tol=1e-9):
+    """Majorization with np.pad zero-padding, as the library computed it before."""
+    a = np.sort(as_distribution(p))[::-1]
+    b = np.sort(as_distribution(q))[::-1]
+    size = max(a.size, b.size)
+    a = np.pad(a, (0, size - a.size))
+    b = np.pad(b, (0, size - b.size))
+    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - tol))
+
+
 class TestMajorization:
+    def test_matches_padded_reference(self):
+        rng = np.random.default_rng(1300)
+        for i in range(300):
+            p = random_distribution(1 + i % 6, seed=1300 + i)
+            q = random_distribution(1 + rng.integers(6), seed=1600 + i)
+            if i % 3 == 0:  # near-ties: q is p mixed a little toward uniform
+                q = 0.999 * p + 0.001 / p.size
+            assert majorizes(p, q) == reference_majorizes(p, q)
+            assert majorizes(q, p) == reference_majorizes(q, p)
+
     def test_known_orderings(self):
         assert majorizes([0.7, 0.3], [0.5, 0.5])
         assert not majorizes([0.5, 0.5], [0.7, 0.3])

@@ -32,6 +32,7 @@ from quantinfo import (
     total_information,
     von_neumann_entropy,
 )
+from quantinfo.probability import _memo
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
 
@@ -84,6 +85,64 @@ class TestValidation:
     def test_bloch_round_trip(self):
         r = [0.3, -0.2, 0.4]
         assert np.allclose(bloch_vector(bloch_state(r)), r, atol=1e-12)
+
+
+class TestValidationMemo:
+    """Each distinct input is checked once; the memo must never change a verdict."""
+
+    def test_in_place_edit_is_checked_again(self):
+        rho = random_density(3, seed=71)
+        as_density(rho)
+        rho[0, 0] += 1.0  # trace 2: no longer a density operator
+        with pytest.raises(ValidationError):
+            as_density(rho)
+
+    def test_rejected_input_raises_every_time(self):
+        bad = np.diag([1.5, -0.5])
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                as_density(bad)
+
+    @pytest.mark.parametrize("loose_first", [True, False])
+    def test_tolerance_is_part_of_the_key(self, loose_first):
+        skew = 2e-7 if loose_first else 3e-7  # a fresh input for each order
+        x = np.array([[0.5, skew], [0.0, 0.5]])  # skew away from Hermitian
+
+        def loose():
+            assert as_density(x, tol=1e-6)[0, 1] == pytest.approx(skew / 2, abs=1e-20)
+
+        def strict():
+            with pytest.raises(ValidationError):
+                as_density(x)
+
+        order = (loose, strict) if loose_first else (strict, loose)
+        for check in order + order:
+            check()
+
+    def test_entry_larger_than_the_budget_is_checked_not_stored(self):
+        as_density(random_density(2, seed=74))
+        newest, size = next(reversed(_memo._entries)), _memo.size
+        # n = 200: key and value together pass the budget; n = 300: the key alone
+        for n in (200, 300):
+            assert as_density(np.eye(n) / n)[0, 0] == pytest.approx(1.0 / n, abs=1e-18)
+            with pytest.raises(ValidationError):
+                as_density(np.eye(n))
+        assert next(reversed(_memo._entries)) is newest and _memo.size == size
+
+    @pytest.mark.parametrize("check, make", [
+        (as_density, lambda: random_density(3, seed=72)),
+        (as_basis, lambda: random_basis(3, seed=73)),
+    ])
+    def test_writing_to_a_result_changes_no_later_result(self, check, make):
+        # the first result is the one the check computed (for a basis, the
+        # caller's own array); the later ones are memo hits
+        results = []
+        for _ in range(3):
+            out = check(make())
+            results.append(out.copy())
+            out[:] = 0.0
+        for later in results[1:]:
+            np.testing.assert_array_equal(later, results[0])
 
 
 class TestBornProbabilities:
