@@ -120,8 +120,7 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
     """
     checked = _complete_set(bases)
     n = checked.shape[1]
-    what = "probability vector"
-    dists = _memo(_clamp, _as_array(prob_lists, float, what), 2, what, ENTRY_TOL, SUM_TOL, -1)
+    dists = _clamp(prob_lists, 2, "probability vector", ENTRY_TOL, SUM_TOL, axis=-1)
     if len(dists) != n + 1:
         raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
     if dists.shape[1] != n:

@@ -204,8 +204,9 @@ class _Memo:
     and a hit returns a copy. An entry costs its key's bytes, its value's
     bytes (none when the check returned its input: the value is then a view
     of the key's bytes) and _MEMO_ENTRY_BYTES. Past the budget the least
-    recently used entries are evicted; an entry larger than the budget is
-    not stored.
+    recently used entries are evicted; an entry larger than the budget, or
+    one whose arguments cannot be hashed (a 0-d array tolerance), is checked
+    but not stored.
     """
 
     def __init__(self, budget: int):
@@ -219,7 +220,10 @@ class _Memo:
             return check(arr, *args)
         raw = arr.tobytes()
         key = (check, arr.dtype, arr.shape, args, raw)
-        entry = self._entries.get(key)  # single dict operations are atomic; the lock guards size
+        try:
+            entry = self._entries.get(key)  # single dict operations are atomic; the lock guards size
+        except TypeError:  # an unhashable argument, such as a 0-d array tolerance
+            return check(arr, *args)
         if entry is not None:
             try:
                 self._entries.move_to_end(key)

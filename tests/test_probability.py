@@ -105,6 +105,20 @@ class TestValidationMemo:
         for check in order + order:
             check()
 
+    def test_array_tolerance_gives_the_float_verdict(self):
+        # a 0-d array cannot be hashed into a key; the check must still run
+        p = [0.5, 0.5 + 4e-7]
+        for _ in range(2):
+            np.testing.assert_array_equal(as_distribution(p, sum_tol=np.array(1e-6)),
+                                          as_distribution(p, sum_tol=1e-6))
+            with pytest.raises(ValidationError):
+                as_distribution(p, sum_tol=np.array(1e-7))
+        m = [[0.5 + 1e-7, 0.5 - 1e-7], [0.5 - 1e-7, 0.5 + 1e-7]]
+        np.testing.assert_array_equal(as_doubly_stochastic(m, sum_tol=np.array(1e-6)),
+                                      as_doubly_stochastic(m))
+        with pytest.raises(ValidationError):
+            as_doubly_stochastic([[1.1, -0.1], [-0.1, 1.1]], entry_tol=np.array(1e-3))
+
     def test_writing_to_a_result_changes_no_later_result(self):
         p = np.array([0.25, 0.75 + 1e-10])
         results = []

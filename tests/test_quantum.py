@@ -119,6 +119,15 @@ class TestValidationMemo:
         for check in order + order:
             check()
 
+    def test_array_tolerance_gives_the_float_verdict(self):
+        # a 0-d array cannot be hashed into a key; the check must still run
+        x = np.array([[0.5, 4e-7], [0.0, 0.5]])
+        for _ in range(2):
+            np.testing.assert_array_equal(as_density(x, tol=np.array(1e-6)),
+                                          as_density(x, tol=1e-6))
+            with pytest.raises(ValidationError):
+                as_density(x, tol=np.array(1e-7))
+
     def test_entry_larger_than_the_budget_is_checked_not_stored(self):
         as_density(random_density(2, seed=74))
         newest, size = next(reversed(_memo._entries)), _memo.size
