@@ -98,24 +98,12 @@ def cq_ensemble(priors, states, letters=None) -> CqEnsemble:
 
 def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
     """Validate a POVM: Hermitian positive effects that sum to the identity."""
-    checked = _as_matrices(effects, 3, "hermitian")
-    n = checked.shape[1]
-    if dim is not None and n != dim:
-        raise ValidationError(f"effects are {n}-dimensional, expected {dim}")
-    smallest = np.linalg.eigvalsh(checked)[:, 0]
-    negative = np.flatnonzero(smallest < -EIGENVALUE_TOL)
-    if negative.size:
-        raise ValidationError(f"effect {negative[0]} is not positive semidefinite: "
-                              f"min eigenvalue {smallest[negative[0]]:.3e}")
-    if np.max(np.abs(checked.sum(axis=0) - np.eye(n))) > HERMITIAN_TOL:
-        raise ValidationError("effects do not sum to the identity")
-    return list(checked)
+    return list(_povm(effects, dim))
 
 
 def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
     """Joint table p(letter, outcome) = prior * Tr(rho_letter E_outcome)."""
-    povm = np.stack(as_povm(effects, ensemble.dim))
-    born = np.einsum("aij,kji->ak", ensemble.states, povm).real
+    born = np.einsum("aij,kji->ak", ensemble.states, _povm(effects, ensemble.dim)).real
     return _joint(ensemble.priors, born)
 
 
@@ -208,6 +196,22 @@ def random_povm(n: int, outcomes: int, seed: int) -> list[np.ndarray]:
     values, vectors = np.linalg.eigh(total)
     whitener = vectors @ np.diag(values ** -0.5) @ vectors.conj().T
     return as_povm([whitener @ block @ whitener for block in blocks])
+
+
+def _povm(effects, dim: int | None) -> np.ndarray:
+    """as_povm's checks; returns the checked (outcomes, n, n) stack."""
+    checked = _as_matrices(effects, 3, "hermitian")
+    n = checked.shape[1]
+    if dim is not None and n != dim:
+        raise ValidationError(f"effects are {n}-dimensional, expected {dim}")
+    smallest = np.linalg.eigvalsh(checked)[:, 0]
+    negative = np.flatnonzero(smallest < -EIGENVALUE_TOL)
+    if negative.size:
+        raise ValidationError(f"effect {negative[0]} is not positive semidefinite: "
+                              f"min eigenvalue {smallest[negative[0]]:.3e}")
+    if np.max(np.abs(checked.sum(axis=0) - np.eye(n))) > HERMITIAN_TOL:
+        raise ValidationError("effects do not sum to the identity")
+    return checked
 
 
 def _joint(priors: np.ndarray, born: np.ndarray) -> np.ndarray:

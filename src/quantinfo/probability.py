@@ -81,7 +81,8 @@ def grouping_residual(p) -> float:
     tail = q1 + q2
     if tail <= 0.0:
         raise ValidationError("merged outcomes have zero total probability")
-    merged = np.append(probs[:-2], tail)
+    merged = probs[:-1].copy()
+    merged[-1] = tail
     lhs = _entropy(probs)
     rhs = _entropy(merged) + tail * _entropy(np.array([q1 / tail, q2 / tail]))
     return float(lhs - rhs)
@@ -165,10 +166,38 @@ def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None
     total within sum_tol of 1 is renormalized and one further off is
     rejected; the total is the whole array's, or each last-axis row's for
     axis=-1.
+
+    A valid array is accepted by whole-array reductions alone: a NaN or -inf
+    fails the minimum test, a +inf the maximum or sum test. Only an array
+    that fails them is run through the entry checks one by one, which pick
+    the error message.
     """
-    arr = _as_array(values, float, what).copy()
+    arr = _as_array(values, float, what, copy=True)
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"expected a nonempty {ndim}-d {what}")
+    low = np.minimum.reduce(arr, axis=None)
+    if low >= -entry_tol:
+        if low < 0.0:
+            arr[arr < 0.0] = 0.0
+        if sum_tol is None:
+            if np.maximum.reduce(arr, axis=None) < np.inf:
+                return arr
+        elif axis is None or arr.ndim == 1:
+            total = np.add.reduce(arr, axis=None)
+            if abs(total - 1.0) < sum_tol:
+                arr /= total
+                return arr
+        else:
+            totals = np.add.reduce(arr, axis=axis, keepdims=True)
+            if np.maximum.reduce(abs(totals - 1.0), axis=None) < sum_tol:
+                arr /= totals
+                return arr
+    return _clamp_entries(arr, what, entry_tol, sum_tol, axis)
+
+
+def _clamp_entries(arr: np.ndarray, what: str, entry_tol: float, sum_tol: float | None,
+                   axis: int | None) -> np.ndarray:
+    """_clamp's checks one at a time, in order, for an array its fast test did not accept."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} entries must be finite")
     if (arr < -entry_tol).any():
@@ -250,10 +279,10 @@ class _Memo:
 _memo = _Memo(_MEMO_BYTES)
 
 
-def _as_array(values, dtype, what: str) -> np.ndarray:
-    """np.asarray that rejects a ragged list, such as matrices of two sizes."""
+def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
+    """np.asarray, or a C-ordered copy, that rejects a ragged list such as matrices of two sizes."""
     try:
-        return np.asarray(values, dtype=dtype)
+        return np.array(values, dtype=dtype, order="C") if copy else np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what}: mismatched dimensions or non-numeric entries") from exc
 
@@ -264,7 +293,10 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
 # ndarray.sum over a short last axis.
 
 def _entropy(probs: np.ndarray):
-    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    # np.zeros costs less than zeros_like. einsum, not multiply and add.reduce: a
+    # different summation order moves entropies in the last bit, enough to flip the
+    # qubit grid search between near-tied directions
+    logs = np.log2(probs, out=np.zeros(probs.shape), where=probs > 0.0)
     return -np.einsum("...i,...i->...", probs, logs)
 
 

@@ -237,7 +237,10 @@ def _as_matrices(values, ndim: int, kind: str, tol: float = HERMITIAN_TOL) -> np
 def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.ndarray:
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
         raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
-    if not np.isfinite(arr).all():
+    # The squared Frobenius norm is finite unless an entry is not (or it overflows):
+    # one call, where isfinite needs two, and none of the warnings a deviation
+    # computed from an infinite entry would raise.
+    if not np.vdot(arr, arr).real < np.inf and not np.isfinite(arr).all():
         raise ValidationError("matrix entries must be finite")
     if kind == "basis":
         if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > tol:
@@ -246,13 +249,14 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.nda
     adjoint = arr.conj().swapaxes(-1, -2)
     if np.abs(arr - adjoint).max() > tol:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    arr = (arr + adjoint) / 2.0
+    arr = arr + adjoint
+    arr /= 2.0
     if kind == "density":
-        traces = np.trace(arr, axis1=-2, axis2=-1).real
+        traces = arr.trace(axis1=-2, axis2=-1).real
         drift = abs(traces - 1.0)
         if np.count_nonzero(drift > TRACE_TOL):
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
-        arr = arr / traces[..., None, None]
+        arr /= traces[..., None, None]
         smallest = np.linalg.eigvalsh(arr)[..., 0]
         if np.count_nonzero(smallest < -EIGENVALUE_TOL):
             raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantinfo import (
     ValidationError,
@@ -30,6 +32,7 @@ from quantinfo.probability import (
     _clamp,
     _conditional_entropy,
     _entropy,
+    _as_array,
     _Memo,
     _mutual_information,
 )
@@ -173,6 +176,159 @@ def test_clamp_edges(site):
         assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
     with pytest.raises(ValidationError):
         call(0.0, 1.1e-9)
+
+
+def reference_clamp(values, ndim, what, entry_tol, sum_tol=None, axis=None):
+    """_clamp as it was before its accept-first test: each check in turn."""
+    arr = _as_array(values, float, what).copy()
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(f"expected a nonempty {ndim}-d {what}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} entries must be finite")
+    if (arr < -entry_tol).any():
+        raise ValidationError(f"negative {what} entry: min {arr.min():.3e}")
+    arr[arr < 0.0] = 0.0
+    if sum_tol is None:
+        return arr
+    totals = arr.sum(axis=axis, keepdims=True)
+    drift = abs(totals - 1.0)
+    if np.count_nonzero(drift >= sum_tol):
+        raise ValidationError(f"{what} sums to {float(totals.flat[drift.argmax()])!r}, not 1")
+    return arr / totals
+
+
+def reference_entropy(probs):
+    """_entropy as an einsum over a zeros_like log buffer, as it was computed before."""
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -np.einsum("...i,...i->...", probs, logs)
+
+
+def outcome(fn, *args):
+    """(the result or the exception's type and message, the distinct warnings raised on the way)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+def assert_same_outcome(fn, reference, *args):
+    """Same verdict, message, warnings and output bits as the reference."""
+    (got, got_warnings), (want, want_warnings) = outcome(fn, *args), outcome(reference, *args)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+V = "probability vector"
+CLAMP_EDGES = {
+    "nan": ([0.5, np.nan, 0.5], 1, V, ENTRY_TOL, SUM_TOL),
+    "nan-and-negative": ([-0.5, np.nan, 1.5], 1, V, ENTRY_TOL, SUM_TOL),
+    "+inf": ([0.5, np.inf], 1, V, ENTRY_TOL, SUM_TOL),
+    "-inf": ([-np.inf, 1.0], 1, V, ENTRY_TOL, SUM_TOL),
+    "+inf-and--inf": ([np.inf, -np.inf, 1.0], 1, V, ENTRY_TOL, SUM_TOL),
+    "+inf-unsummed": ([np.inf, 0.5], 1, "Born weight", EIGENVALUE_TOL),
+    "sum-overflows": ([1e308, 1e308], 1, V, ENTRY_TOL, SUM_TOL),
+    "sum-overflows-unsummed": ([1e308, 1e308], 1, "Born weight", EIGENVALUE_TOL),
+    "row-sum-overflows": ([[0.5, 0.5], [1e308, 1e308]], 2, V, ENTRY_TOL, SUM_TOL, -1),
+    "negative-zero": ([-0.0, 1.0], 1, V, ENTRY_TOL, SUM_TOL),
+    "negative-zero-alone": ([-0.0], 1, V, ENTRY_TOL, SUM_TOL),
+    "negative-zero-unsummed": ([[-0.0, 1.0], [0.5, -0.0]], 2, "matrix", ENTRY_TOL),
+    "at-entry-tol": ([1.0 + ENTRY_TOL, -ENTRY_TOL], 1, V, ENTRY_TOL, SUM_TOL),
+    "past-entry-tol": ([1.0 + 2 * ENTRY_TOL, -2 * ENTRY_TOL], 1, V, ENTRY_TOL, SUM_TOL),
+    "drift-at-sum-tol": ([0.5, 0.5 + 2.0 ** -30], 1, V, ENTRY_TOL, 2.0 ** -30),
+    "drift-under-sum-tol": ([0.5, 0.5 + 2.0 ** -31], 1, V, ENTRY_TOL, 2.0 ** -30),
+    "rows-at-sum-tol": ([[0.5, 0.5], [0.5, 0.5 - 2.0 ** -30]], 2, V, ENTRY_TOL, 2.0 ** -30, -1),
+    "rows-sum-to-one-together": ([[0.25, 0.25], [0.25, 0.25]], 2, V, ENTRY_TOL, SUM_TOL, -1),
+    "rows-one-drifts": ([[0.5, 0.5], [0.7, 0.7], [0.2, 0.8]], 2, V, ENTRY_TOL, SUM_TOL, -1),
+    "rows-one-nan": ([[0.5, 0.5], [np.nan, 1.0]], 2, V, ENTRY_TOL, SUM_TOL, -1),
+    "rows-one-negative": ([[0.5, 0.5], [1.5, -0.5]], 2, V, ENTRY_TOL, SUM_TOL, -1),
+    "rows-one-clamped": ([[0.5, 0.5], [1.0 + 1e-13, -1e-13]], 2, V, ENTRY_TOL, SUM_TOL, -1),
+    "single-row-axis": ([0.25, 0.75 + 1e-10], 1, V, ENTRY_TOL, SUM_TOL, -1),
+    "joint-table": ([[0.3, 0.2], [0.5 + 1e-10, -1e-13]], 2, "joint probability table",
+                    ENTRY_TOL, SUM_TOL),
+    "nan-sum-tol": ([0.5, 0.6], 1, V, ENTRY_TOL, float("nan")),
+    "wrong-ndim": ([[0.5, 0.5]], 1, V, ENTRY_TOL, SUM_TOL),
+    "empty": ([], 1, V, ENTRY_TOL, SUM_TOL),
+    "ragged": ([[0.5], [0.25, 0.25]], 2, V, ENTRY_TOL, SUM_TOL),
+}
+
+
+class TestClampMatchesReference:
+    """The accept-first clamp keeps every verdict, message and output bit."""
+
+    @pytest.mark.parametrize("case", list(CLAMP_EDGES))
+    def test_edge_cases(self, case):
+        assert_same_outcome(_clamp, reference_clamp, *CLAMP_EDGES[case])
+
+    def test_seeded_inputs(self):
+        rng = np.random.default_rng(1234)
+        for i in range(300):
+            shape = (1 + i % 4, 1 + i % 7) if i % 3 else (1 + i % 9,)
+            values = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]) * (1.0 + rng.normal(0, 1e-9))
+            values[values < 0.05] -= rng.uniform(0.0, 2e-12)
+            args = (values, values.ndim, V, ENTRY_TOL, SUM_TOL, -1 if values.ndim == 2 else None)
+            assert_same_outcome(_clamp, reference_clamp, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_with_injected_specials(self, data):
+        rows = data.draw(st.integers(1, 4))
+        cols = data.draw(st.integers(1, 6))
+        values = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).dirichlet(
+            np.ones(cols), size=rows)
+        values *= data.draw(st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 2e-9, 0.5, 2.0]))
+        specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -ENTRY_TOL,
+                                    -2 * ENTRY_TOL, -1e-13, 1e308, 1.0])
+        for _ in range(data.draw(st.integers(0, 3))):
+            values.flat[data.draw(st.integers(0, values.size - 1))] = data.draw(specials)
+        if data.draw(st.booleans()):
+            values = values[0]
+        sum_tol = data.draw(st.sampled_from([None, SUM_TOL, 1e-6]))
+        axis = data.draw(st.sampled_from([None, -1]))
+        entry_tol = data.draw(st.sampled_from([ENTRY_TOL, EIGENVALUE_TOL]))
+        assert_same_outcome(_clamp, reference_clamp, values, values.ndim, V, entry_tol, sum_tol, axis)
+
+
+class TestEntropyMatchesReference:
+    """A fresh zeros buffer in place of zeros_like keeps every entropy bit."""
+
+    EDGES = {
+        "certain": [1.0, 0.0, 0.0],
+        "zeros-and-negative-zero": [0.5, -0.0, 0.0, 0.5],
+        "all-zero": [0.0, 0.0],
+        "single": [1.0],
+        "subnormal": [1.0, 5e-324],
+        "stack": [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]],
+    }
+
+    @staticmethod
+    def assert_same_bits(probs):
+        got, want = _entropy(probs), reference_entropy(probs)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("case", list(EDGES))
+    def test_edge_cases(self, case):
+        self.assert_same_bits(np.array(self.EDGES[case]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64),
+           st.sampled_from([(), (3,), (2, 4)]), st.floats(0.0, 0.9))
+    def test_property_same_bits(self, seed, n, lead, zero_share):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(n), size=lead)
+        probs[rng.random(probs.shape) < zero_share] = 0.0
+        self.assert_same_bits(probs)
+        self.assert_same_bits(probs[..., ::-1])  # a strided view, as _spectrum passes
+        if probs.ndim == 2:
+            self.assert_same_bits(probs.T)
 
 
 class TestShannonEntropy:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantinfo import (
     ValidationError,
@@ -33,6 +34,8 @@ from quantinfo import (
     von_neumann_entropy,
 )
 from quantinfo.probability import _memo
+from quantinfo.quantum import EIGENVALUE_TOL, HERMITIAN_TOL, TRACE_TOL, _check_matrices
+from test_probability import assert_same_outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
 
@@ -152,6 +155,108 @@ class TestValidationMemo:
             out[:] = 0.0
         for later in results[1:]:
             np.testing.assert_array_equal(later, results[0])
+
+
+def reference_check_matrices(arr, ndim, kind, tol):
+    """_check_matrices as it was before it tested finiteness through one norm: isfinite first."""
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
+        raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
+    if kind == "basis":
+        if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > tol:
+            raise ValidationError("basis columns are not orthonormal within tolerance")
+        return arr
+    adjoint = arr.conj().swapaxes(-1, -2)
+    if np.abs(arr - adjoint).max() > tol:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    arr = (arr + adjoint) / 2.0
+    if kind == "density":
+        traces = np.trace(arr, axis1=-2, axis2=-1).real
+        drift = abs(traces - 1.0)
+        if np.count_nonzero(drift > TRACE_TOL):
+            raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
+        arr = arr / traces[..., None, None]
+        smallest = np.linalg.eigvalsh(arr)[..., 0]
+        if np.count_nonzero(smallest < -EIGENVALUE_TOL):
+            raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
+    return arr
+
+
+INF, NAN = np.inf, np.nan
+MATRIX_EDGES = {
+    "nan-entry": ([[0.5, NAN], [0.0, 0.5]], 2),
+    "inf-off-diagonal": ([[0.5, INF], [0.0, 0.5]], 2),
+    "hermitian-inf-diagonal": ([[INF, 0.0], [0.0, 0.5]], 2),
+    "hermitian-inf-pair": ([[0.5, INF], [INF, 0.5]], 2),
+    "-inf-diagonal": ([[-INF, 0.0], [0.0, 1.0]], 2),
+    "inf-and-nan-parts": ([[complex(INF, NAN), 0.0], [0.0, 0.5]], 2),
+    "imaginary-inf": ([[0.5, complex(0.0, INF)], [complex(0.0, -INF), 0.5]], 2),
+    "large-finite": ([[1e200, 0.0], [0.0, 1e200]], 2),
+    "symmetrizing-overflows": ([[1e308, 0.0], [0.0, 0.0]], 2),
+    "stack-one-nan": ([np.eye(2) / 2, [[0.5, 0.0], [0.0, NAN]], np.eye(2) / 2], 3),
+    "stack-one-inf-diagonal": ([np.eye(2) / 2, [[INF, 0.0], [0.0, 0.5]]], 3),
+    "stack-one-skew": ([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], 3),
+    "stack-one-trace": ([np.eye(2) / 2, np.eye(2)], 3),
+    "not-hermitian": ([[0.5, 0.1], [0.0, 0.5]], 2),
+    "skew-at-tol": ([[0.5, 2.0 ** -30], [0.0, 0.5]], 2),
+    "negative-zero": ([[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]], 2),
+    "trace-off": ([[0.6, 0.0], [0.0, 0.6]], 2),
+    "trace-noise": ([[0.5 + 4e-10, 0.0], [0.0, 0.5]], 2),
+    "negative-eigenvalue": ([[1.5, 0.0], [0.0, -0.5]], 2),
+    "eigenvalue-noise": ([[1.0 + 5e-10, 0.0], [0.0, -5e-10]], 2),
+    "orthonormal": ([[1.0, 0.0], [0.0, 1.0]], 2),
+    "not-orthonormal": ([[1.0, 1.0], [0.0, 0.0]], 2),
+    "wrong-shape": ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], 2),
+    "empty": (np.zeros((0, 0)), 2),
+    "wrong-ndim": (np.eye(2) / 2, 3),
+}
+
+
+class TestMatrixCheckMatchesReference:
+    """Testing finiteness through one norm keeps every verdict, message and output bit."""
+
+    @pytest.mark.parametrize("kind", ["hermitian", "density", "basis"])
+    @pytest.mark.parametrize("case", list(MATRIX_EDGES))
+    def test_edge_cases(self, case, kind):
+        values, ndim = MATRIX_EDGES[case]
+        arr = np.asarray(values, dtype=complex)
+        for tol in (HERMITIAN_TOL, 2.0 ** -30):
+            assert_same_outcome(_check_matrices, reference_check_matrices, arr, ndim, kind, tol)
+
+    def test_seeded_inputs(self):
+        for i in range(120):
+            n = 1 + i % 5
+            rho = random_density(n, seed=3000 + i, rank=1 + i % n)
+            u = random_basis(n, seed=4000 + i)
+            stack = np.stack([random_density(n, seed=5000 + 3 * i + j) for j in range(3)])
+            for arr, ndim, kind in ((rho, 2, "density"), (rho, 2, "hermitian"), (u, 2, "basis"),
+                                    (stack, 3, "density"), (stack * 1.01, 3, "density"),
+                                    (u + 1e-10, 2, "basis")):
+                assert_same_outcome(_check_matrices, reference_check_matrices,
+                                    arr, ndim, kind, HERMITIAN_TOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_with_injected_specials(self, data):
+        n = data.draw(st.integers(1, 4))
+        count = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        kind = data.draw(st.sampled_from(["hermitian", "density", "basis"]))
+        make = random_basis if kind == "basis" else random_density
+        arr = np.stack([make(n, seed=seed + j) for j in range(count)])
+        specials = st.sampled_from([NAN, INF, -INF, complex(INF, NAN), complex(0.0, INF),
+                                    -0.0, 1e200, 1e308, 1e-10])
+        for _ in range(data.draw(st.integers(0, 3))):
+            b, i, j = (data.draw(st.integers(0, k - 1)) for k in (count, n, n))
+            value = data.draw(specials)
+            arr[b, i, j] = value
+            if data.draw(st.booleans()):  # keep the pair Hermitian
+                arr[b, j, i] = np.conj(value)
+        if count == 1 and data.draw(st.booleans()):
+            arr = arr[0]
+        tol = data.draw(st.sampled_from([HERMITIAN_TOL, 1e-6]))
+        assert_same_outcome(_check_matrices, reference_check_matrices, arr, arr.ndim, kind, tol)
 
 
 class TestBornProbabilities:
