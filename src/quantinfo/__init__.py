@@ -57,6 +57,7 @@ from .mub import (
     DeviationReport,
     build_mubs,
     hyperplane_orthogonality,
+    information_by_basis,
     information_sum,
     reconstruct,
     verify_unbiased,

@@ -258,10 +258,9 @@ def _cmd_mub_verify(args):
 def _cmd_mub_sum(args):
     rho = _resolve_state(args)
     n = rho.shape[0]
-    bases = mub.build_mubs(n)
-    per_basis = [probability.quadratic_information(quantum.born_probabilities(rho, u))
-                 for u in bases]
-    total = mub.information_sum(rho, bases)
+    informations = mub.information_by_basis(rho, mub.build_mubs(n))
+    per_basis = informations.tolist()
+    total = float(informations.sum())
     direct = quantum.total_information(rho)
     payload = {"command": "mub-sum", "state": state_to_json(rho), "per_basis": per_basis,
                "sum": total, "direct": direct,
@@ -279,9 +278,12 @@ def _cmd_reconstruct(args):
     groups = [piece for piece in args.probs.split(";") if piece.strip()]
     dists = [_cli_distribution(piece, f"outcome distribution {i}")
              for i, piece in enumerate(groups)]
-    if len(dists) < 2:
-        raise ValidationError("need n+1 semicolon-separated outcome distributions")
+    # count before building: a complete set for n costs O(n^4) to check
     n = len(dists[0])
+    if len(dists) != n + 1:
+        raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
+    if any(len(d) != n for d in dists):
+        raise ValidationError(f"each outcome distribution must have {n} entries")
     bases = mub.build_mubs(n)
     rho = mub.reconstruct(dists, bases)
     smallest = quantum.smallest_eigenvalue(rho)

@@ -101,13 +101,21 @@ def information_sum(rho, bases) -> float:
     Tr(rho - I/n)^2 identically, which is what makes the quadratic measure
     basis-set invariant while the Shannon sum is not.
     """
+    return float(information_by_basis(rho, bases).sum())
+
+
+def information_by_basis(rho, bases) -> np.ndarray:
+    """Quadratic information of the outcome statistics in each basis of a complete MUB set.
+
+    The entries sum to information_sum(rho, bases).
+    """
     state = as_density(rho)
     checked = _complete_set(bases)
     n = state.shape[0]
     if checked.shape[1] != n:
         raise ValidationError(
             f"bases are {checked.shape[1]}-dimensional but the state is {n}-dimensional")
-    return float(_quadratic(_born(state, checked)).sum())
+    return _quadratic(_born(state, checked))
 
 
 def reconstruct(prob_lists, bases) -> np.ndarray:

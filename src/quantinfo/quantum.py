@@ -240,8 +240,8 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.nda
     # The squared Frobenius norm is finite unless an entry is not (or it overflows):
     # one call, where isfinite needs two, and none of the warnings a deviation
     # computed from an infinite entry would raise.
-    if not np.vdot(arr, arr).real < np.inf and not np.isfinite(arr).all():
-        raise ValidationError("matrix entries must be finite")
+    if not np.vdot(arr, arr).real < np.inf:
+        return _check_huge_matrices(arr, kind, tol)
     if kind == "basis":
         if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > tol:
             raise ValidationError("basis columns are not orthonormal within tolerance")
@@ -261,6 +261,25 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.nda
         if np.count_nonzero(smallest < -EIGENVALUE_TOL):
             raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
     return arr
+
+
+def _check_huge_matrices(arr: np.ndarray, kind: str, tol: float) -> np.ndarray:
+    """_check_matrices for entries that are not finite or whose squares overflow (above about 1e154)."""
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
+    # a state's entries have modulus at most 1, a basis' columns unit norm
+    if kind == "basis":
+        raise ValidationError("basis columns are not orthonormal within tolerance")
+    if kind == "density":
+        raise ValidationError("density operator entries must have modulus at most 1")
+    # quarter scale keeps the deviation's modulus and the symmetrized sum finite
+    quarter = arr * 0.25
+    adjoint = quarter.conj().swapaxes(-1, -2)
+    if np.abs(quarter - adjoint).max() > tol / 4.0:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    quarter += adjoint
+    quarter *= 2.0
+    return quarter
 
 
 # Kernels below take a state from as_density and a basis from as_basis. Born weights

@@ -172,7 +172,7 @@ def check_coding_windows() -> CheckResult:
         n = 2 + i % 5
         p = probability.random_distribution(n, seed=10_000 + i)
         entropy = probability.shannon_entropy(p)
-        for k in (1, 2, 4):
+        for k in (1, 2, 4, 8, 16) if n <= 3 else (1, 2, 4):
             rate = coding.block_question_rate(p, k)
             ok = ok and entropy <= rate < entropy + 1.0 / k
     report = coding.typical_set([0.8, 0.2], 10, 0.1)
@@ -180,7 +180,7 @@ def check_coding_windows() -> CheckResult:
     return CheckResult(
         "coding windows",
         ok,
-        f"20 seeded dists, k in (1,2,4), every rate in [H, H + 1/k); "
+        f"20 seeded dists, k in (1,2,4) (and 8, 16 for 2 or 3 symbols), every rate in [H, H + 1/k); "
         f"typical_set((0.8,0.2), 10, 0.1).count = {report.count} (= 45)")
 
 

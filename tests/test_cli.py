@@ -72,6 +72,19 @@ def test_module_entry_point_runs_main():
     assert json.loads(done.stdout)["entropy_bits"] == 1.0
 
 
+def test_reconstruct_counts_distributions_before_building_bases():
+    # two 211-entry distributions: a complete set for n = 211 would take
+    # tens of seconds and hundreds of MB to build and check
+    probs = ";".join([",".join(["1"] + ["0"] * 210)] * 2)
+    done = subprocess.run(
+        [sys.executable, "-m", "quantinfo.cli", "reconstruct", "--probs", probs],
+        capture_output=True, text=True, env=module_env(), timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert "need 212 outcome distributions, got 2" in done.stderr
+
+
 def test_closed_stdout_exits_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -218,6 +231,11 @@ class TestMubCommands:
     def test_reconstruct_needs_several_groups(self, capsys):
         code, _, _ = cli(capsys, "reconstruct", "--probs", "0.7,0.3")
         assert code == 1
+
+    def test_reconstruct_needs_equal_lengths(self, capsys):
+        code, _, err = cli(capsys, "reconstruct", "--probs", "0.7,0.3;0.65,0.35;0.5,0.3,0.2")
+        assert code == 1
+        assert "each outcome distribution must have 2 entries" in err
 
 
 class TestChannelCommands:

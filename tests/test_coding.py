@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantinfo import (
     ValidationError,
@@ -14,6 +16,7 @@ from quantinfo import (
     shannon_entropy,
     typical_set,
 )
+from quantinfo.coding import ENUMERATION_CAP
 
 
 def brute_force_typical(probs, block_length, epsilon):
@@ -81,15 +84,48 @@ class TestTypicalSet:
         assert totals[12] < totals[8]
         assert totals[12] < totals[16] < totals[20]
 
-    def test_cap_rejected(self):
+    def test_cap_counts_type_classes(self):
+        # 2^25 sequences but only 26 classes; every sequence has surprise 1 = H
+        report = typical_set([0.5, 0.5], 25, 0.1)
+        assert report.count == 2 ** 25
+        assert report.total_probability == 1.0
+        # 6 letters: k = 17 has 26,334 classes, k = 18 has 33,649
+        assert math.comb(22, 5) <= ENUMERATION_CAP < math.comb(23, 5)
+        typical_set([1 / 6] * 6, 17, 0.1)
+        with pytest.raises(ValidationError, match="33649 type classes"):
+            typical_set([1 / 6] * 6, 18, 0.1)
+        # the cap is exact: 6 classes at N = 5 for two letters
+        assert typical_set([0.8, 0.2], 5, 0.5, cap=6).count > 0
         with pytest.raises(ValidationError):
-            typical_set([0.5, 0.5], 25, 0.1)
+            typical_set([0.8, 0.2], 5, 0.5, cap=5)
+
+    def test_sequence_count_beyond_exact_floats_rejected(self):
+        typical_set([0.5, 0.5], 53, 0.1)
+        with pytest.raises(ValidationError, match="2\\^53"):
+            typical_set([0.5, 0.5], 54, 0.1)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValidationError):
             typical_set([0.5, 0.5], 0, 0.1)
         with pytest.raises(ValidationError):
             typical_set([0.5, 0.5], 5, 0.0)
+
+
+def reference_block_rate(p, block_length):
+    """Oracle: Huffman over the whole n^k product source, built with np.kron."""
+    block = np.asarray(p, dtype=float)
+    for _ in range(block_length - 1):
+        block = np.kron(block, p)
+    return question_strategy(block).average_length / block_length
+
+
+def dyadic(n):
+    """1/2, 1/4, ..., with the last two letters tied."""
+    if n == 1:
+        return np.ones(1)
+    p = 2.0 ** -np.arange(1, n + 1)
+    p[-1] *= 2.0
+    return p
 
 
 def exhaustive_optimal_average(probs):
@@ -197,9 +233,51 @@ class TestBlockQuestionRate:
             r4 = block_question_rate(p, 4)
             assert r1 + 1e-12 >= r2 >= r4 - 1e-12
 
-    def test_cap_rejected(self):
-        with pytest.raises(ValidationError):
+    def test_cap_counts_type_classes(self):
+        # 10 letters at k = 9 are 10^9 sequences in 48,620 classes
+        with pytest.raises(ValidationError, match="48620 type classes"):
             block_question_rate([0.1] * 10, 9)
+        p = random_distribution(6, seed=1700)
+        h = shannon_entropy(p)
+        assert h <= block_question_rate(p, 17) < h + 1.0 / 17
+        with pytest.raises(ValidationError, match="33649 type classes"):
+            block_question_rate(p, 18)
+
+    def test_sequence_count_beyond_exact_floats_rejected(self):
+        # 1,101 classes, but multiplicities up to C(1100, 550) overflow a float
+        with pytest.raises(ValidationError, match="2\\^53"):
+            block_question_rate([0.5, 0.5], 1100)
+
+    def test_long_binary_block_is_fast(self):
+        start = time.perf_counter()
+        rate = block_question_rate([0.8, 0.2], 18)
+        assert time.perf_counter() - start < 0.5
+        h = shannon_entropy([0.8, 0.2])
+        assert h <= rate < h + 1.0 / 18
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_product_source_huffman(self, n):
+        # every block length with n^k <= 2^12, on seeded, zero-padded, uniform
+        # and dyadic sources
+        sources = [random_distribution(n, seed=1800 + n), np.full(n, 1.0 / n),
+                   dyadic(n)]
+        if n > 1:
+            sources.append(np.append(random_distribution(n - 1, seed=1900 + n), 0.0))
+        for p in sources:
+            for k in itertools.takewhile(lambda k: n ** k <= 2 ** 12, range(1, 13)):
+                assert block_question_rate(p, k) == pytest.approx(
+                    reference_block_rate(p, k), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 7.0, 0.125]),
+                    min_size=1, max_size=6).filter(lambda w: sum(w) > 0),
+           st.integers(min_value=1, max_value=12))
+    def test_property_matches_product_source_huffman(self, weights, k):
+        p = np.array(weights) / sum(weights)
+        while p.size ** k > 2 ** 12:
+            k -= 1
+        assert block_question_rate(p, k) == pytest.approx(
+            reference_block_rate(p, k), abs=1e-12)
 
     def test_bad_block_rejected(self):
         with pytest.raises(ValidationError):

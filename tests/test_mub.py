@@ -11,6 +11,7 @@ from quantinfo import (
     build_mubs,
     hs_distance,
     hyperplane_orthogonality,
+    information_by_basis,
     information_sum,
     quadratic_information,
     random_basis,
@@ -240,6 +241,17 @@ class TestInformationSum:
             rho = random_density(n, seed=200 * n + i, rank=i % n + 1)
             per_basis = sum(quadratic_information(born_probabilities(rho, u)) for u in bases)
             assert abs(information_sum(rho, bases) - per_basis) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_by_basis_terms_are_the_summed_terms(self, n):
+        bases = build_mubs(n)
+        for i in range(5):
+            rho = random_density(n, seed=300 * n + i, rank=i % n + 1)
+            terms = information_by_basis(rho, bases)
+            assert terms.shape == (n + 1,)
+            assert information_sum(rho, bases) == float(terms.sum())
+            assert terms == pytest.approx(
+                [quadratic_information(born_probabilities(rho, u)) for u in bases], abs=1e-15)
 
     def test_bloch_example_per_basis_split(self):
         rho = bloch_state([0.3, 0.0, 0.4])

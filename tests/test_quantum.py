@@ -35,7 +35,7 @@ from quantinfo import (
 )
 from quantinfo.probability import _memo
 from quantinfo.quantum import EIGENVALUE_TOL, HERMITIAN_TOL, TRACE_TOL, _check_matrices
-from test_probability import assert_same_outcome
+from test_probability import assert_same_outcome, outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
 
@@ -80,6 +80,27 @@ class TestValidation:
         check(member)
         with pytest.raises(ValidationError):
             check(np.stack([member, member]))
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 1e308], [1e308, 0.5]],
+        [[0.4, 1e308, 0.0], [1e308, 0.3, 0.0], [0.0, 0.0, 0.3]],
+        [[1e200, 0.0], [0.0, -1e200]],
+    ], ids=["2x2-pair", "3x3-pair", "opposite-diagonal"])
+    def test_huge_entries_rejected_as_density(self, matrix):
+        # the symmetrized sum used to overflow to a NaN state or a LinAlgError
+        (result, caught) = outcome(as_density, matrix)
+        assert result == (ValidationError, "density operator entries must have modulus at most 1")
+        assert caught == set()
+
+    def test_huge_hermitian_stays_finite(self):
+        matrix = np.array([[1e308, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, -1.79e308]])
+        (out, caught) = outcome(as_hermitian, matrix)
+        assert caught == set()
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, matrix)
+        (result, caught) = outcome(as_hermitian, [[0.0, 1.7e308], [-1.7e308, 0.0]])
+        assert result == (ValidationError, "matrix is not Hermitian within tolerance")
+        assert caught == set()
 
     def test_bloch_length_enforced(self):
         with pytest.raises(ValidationError):
@@ -213,8 +234,43 @@ MATRIX_EDGES = {
 }
 
 
+def huge_entries(arr):
+    """Finite entries whose squared norm overflows (above about 1e154)."""
+    return bool(np.isfinite(arr).all()) and not np.vdot(arr, arr).real < np.inf
+
+
+def assert_huge_outcome(arr, ndim, kind, tol):
+    """No warning; a state or a basis is rejected; a Hermitian matrix gives a finite (M + M*)/2."""
+    got, caught = outcome(_check_matrices, arr, ndim, kind, tol)
+    assert caught == set()
+    if arr.ndim != ndim:
+        assert got[0] is ValidationError
+        return
+    wide = arr.astype(np.clongdouble)  # no overflow in the reference arithmetic
+    adjoint = wide.conj().swapaxes(-1, -2)
+    if kind != "hermitian" or np.abs(wide - adjoint).max() > tol:
+        assert got[0] is ValidationError
+        return
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, ((wide + adjoint) / 2).astype(complex), rtol=1e-15, atol=0)
+
+
+def assert_matches_reference(arr, ndim, kind, tol):
+    """The reference's outcome, except on the overflow branch, which only _check_matrices handles."""
+    if huge_entries(arr):
+        assert_huge_outcome(arr, ndim, kind, tol)
+    else:
+        assert_same_outcome(_check_matrices, reference_check_matrices, arr, ndim, kind, tol)
+
+
 class TestMatrixCheckMatchesReference:
-    """Testing finiteness through one norm keeps every verdict, message and output bit."""
+    """Testing finiteness through one norm keeps every verdict, message and output bit.
+
+    Finite entries whose squares overflow are the exception: the reference
+    overflows there with a warning and may return NaN or inf, while
+    _check_matrices rejects a state or a basis and returns a finite
+    Hermitian matrix.
+    """
 
     @pytest.mark.parametrize("kind", ["hermitian", "density", "basis"])
     @pytest.mark.parametrize("case", list(MATRIX_EDGES))
@@ -222,7 +278,7 @@ class TestMatrixCheckMatchesReference:
         values, ndim = MATRIX_EDGES[case]
         arr = np.asarray(values, dtype=complex)
         for tol in (HERMITIAN_TOL, 2.0 ** -30):
-            assert_same_outcome(_check_matrices, reference_check_matrices, arr, ndim, kind, tol)
+            assert_matches_reference(arr, ndim, kind, tol)
 
     def test_seeded_inputs(self):
         for i in range(120):
@@ -256,7 +312,7 @@ class TestMatrixCheckMatchesReference:
         if count == 1 and data.draw(st.booleans()):
             arr = arr[0]
         tol = data.draw(st.sampled_from([HERMITIAN_TOL, 1e-6]))
-        assert_same_outcome(_check_matrices, reference_check_matrices, arr, arr.ndim, kind, tol)
+        assert_matches_reference(arr, arr.ndim, kind, tol)
 
 
 class TestBornProbabilities:
