@@ -78,7 +78,7 @@ def test_reconstruct_counts_distributions_before_building_bases():
     probs = ";".join([",".join(["1"] + ["0"] * 210)] * 2)
     done = subprocess.run(
         [sys.executable, "-m", "quantinfo.cli", "reconstruct", "--probs", probs],
-        capture_output=True, text=True, env=module_env(), timeout=60)
+        capture_output=True, text=True, env=module_env(), timeout=20)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error:")
@@ -232,10 +232,16 @@ class TestMubCommands:
         code, _, _ = cli(capsys, "reconstruct", "--probs", "0.7,0.3")
         assert code == 1
 
-    def test_reconstruct_needs_equal_lengths(self, capsys):
-        code, _, err = cli(capsys, "reconstruct", "--probs", "0.7,0.3;0.65,0.35;0.5,0.3,0.2")
-        assert code == 1
-        assert "each outcome distribution must have 2 entries" in err
+    def test_reconstruct_counts_before_building_bases(self, capsys, monkeypatch):
+        def unbuilt(n):
+            raise AssertionError(f"build_mubs({n}) called")
+        monkeypatch.setattr(quantinfo.mub, "build_mubs", unbuilt)
+        for probs, message in (("1,0,0;0,1,0", "need 4 outcome distributions, got 2"),
+                               ("0.7,0.3;0.65,0.35;0.5,0.3,0.2",
+                                "each outcome distribution must have 2 entries")):
+            code, _, err = cli(capsys, "reconstruct", "--probs", probs)
+            assert code == 1
+            assert message in err
 
 
 class TestChannelCommands:

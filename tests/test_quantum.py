@@ -98,9 +98,12 @@ class TestValidation:
         assert caught == set()
         assert np.isfinite(out).all()
         np.testing.assert_array_equal(out, matrix)
-        (result, caught) = outcome(as_hermitian, [[0.0, 1.7e308], [-1.7e308, 0.0]])
-        assert result == (ValidationError, "matrix is not Hermitian within tolerance")
-        assert caught == set()
+        # the skew is judged at the full tolerance on this branch too
+        for skewed in ([[0.0, 1.7e308], [-1.7e308, 0.0]], [[1e308, 2e-9], [0.0, 0.0]]):
+            (result, caught) = outcome(as_hermitian, skewed)
+            assert result == (ValidationError, "matrix is not Hermitian within tolerance")
+            assert caught == set()
+        assert as_hermitian([[1e308, 5e-10], [0.0, 0.0]])[0, 1] == 2.5e-10
 
     def test_bloch_length_enforced(self):
         with pytest.raises(ValidationError):
