@@ -51,19 +51,19 @@ class PrefixCode:
     average_length: float
 
 
-def typical_set(p, block_length: int, epsilon: float, cap: int = ENUMERATION_CAP) -> TypicalSetReport:
+def typical_set(p, block_length: int, epsilon: float) -> TypicalSetReport:
     """Count the weakly typical sequences of length block_length exactly.
 
     A sequence x is typical when |(-1/N) log2 P(x) - H(p)| <= epsilon.
     Sequences containing a zero-probability letter have infinite per-letter
     surprise and are never typical. The census runs over letter-count type
-    classes, so it is exact for every block length with at most cap classes
-    (and n^N <= 2^53).
+    classes, so it is exact for every block length with at most
+    ENUMERATION_CAP classes (and n^N <= 2^53).
     """
     probs = as_distribution(p)
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValidationError("epsilon must be positive")
-    classes = _type_classes(probs, block_length, cap)
+    classes = _type_classes(probs, block_length)
     entropy = _entropy(probs)
     count = 0
     total = 0.0
@@ -114,22 +114,22 @@ def question_strategy(p) -> PrefixCode:
     return PrefixCode(tuple(lengths), _canonical_codewords(lengths), average)
 
 
-def block_question_rate(p, block_length: int, cap: int = ENUMERATION_CAP) -> float:
+def block_question_rate(p, block_length: int) -> float:
     """Questions per symbol of the optimal strategy on block_length-fold blocks.
 
     Equals the Huffman average length of the product source divided by the
     block length, so it lies in [H(p), H(p) + 1/block_length) for sources
     with at least two supported symbols. The product source has one weight
     per type class, so the tree is built over (weight, multiplicity) runs
-    and at most cap classes are accepted.
+    and at most ENUMERATION_CAP classes are accepted.
     """
     probs = as_distribution(p)
     runs = sorted((2.0 ** log_weight, multiplicity)
-                  for log_weight, multiplicity in _type_classes(probs, block_length, cap))
+                  for log_weight, multiplicity in _type_classes(probs, block_length))
     return _run_length_huffman(runs) / block_length
 
 
-def _type_classes(probs: np.ndarray, block_length: int, cap: int) -> list[tuple[float, int]]:
+def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int]]:
     """(log2 weight, multiplicity) of each type class of length-block_length sequences.
 
     A type class holds the sequences with one tuple of letter counts; they
@@ -138,17 +138,18 @@ def _type_classes(probs: np.ndarray, block_length: int, cap: int) -> list[tuple[
     weight sums c_i log2 p_i over the letters in order and is -inf when a
     zero-probability letter occurs. Rejects block lengths below 1, more
     than 2^53 sequences (multiplicities stay exact as floats) and more than
-    cap classes.
+    ENUMERATION_CAP classes.
     """
     n = probs.size
     if block_length < 1:
         raise ValidationError("block length must be >= 1")
-    if n ** block_length > 2 ** 53:
+    # k first: two letters pass 2^53 past k = 53, and the exact integer n^k costs time growing with k
+    if n > 1 and block_length > 53 or n ** block_length > 2 ** 53:
         raise ValidationError(f"{n}^{block_length} sequences exceed 2^53")
     classes = math.comb(block_length + n - 1, n - 1)
-    if classes > cap:
-        raise ValidationError(
-            f"{classes} type classes of {n}^{block_length} sequences exceed the enumeration cap {cap}")
+    if classes > ENUMERATION_CAP:
+        raise ValidationError(f"{classes} type classes of {n}^{block_length} sequences "
+                              f"exceed the enumeration cap {ENUMERATION_CAP}")
     logs = [math.log2(x) if x > 0.0 else -math.inf for x in probs.tolist()]
     # one letter at a time: (log2 weight so far, multiplicity so far, letters
     # left); a class whose letters are all placed is finished, since every

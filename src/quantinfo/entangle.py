@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _quadratic, as_distribution
+from .probability import SUM_TOL, _clamp, _quadratic
 from .quantum import (
     EIGENVALUE_TOL, HERMITIAN_TOL, PAULIS, _hermitian_pair, as_density, as_hermitian, pure_state)
 
@@ -146,4 +146,4 @@ def info_split(rho) -> InfoSplit:
 def _question_information(state: np.ndarray, question: np.ndarray) -> float:
     """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and projector."""
     yes = float(np.einsum("ij,ji->", state, question).real)
-    return float(_quadratic(as_distribution([yes, 1.0 - yes], entry_tol=EIGENVALUE_TOL)))
+    return float(_quadratic(_clamp([yes, 1.0 - yes], 1, "probability vector", EIGENVALUE_TOL, SUM_TOL)))

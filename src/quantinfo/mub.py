@@ -39,8 +39,9 @@ def build_mubs(n: int) -> list[np.ndarray]:
     For n = 2 these are the three Pauli eigenbases. For odd prime n the k-th
     non-computational basis has vector m with components
     exp(2*pi*i*(k*l^2 + m*l)/n)/sqrt(n); quadratic Gauss sums make distinct k
-    unbiased. Composite and even dimensions beyond 2 are rejected. Every
-    vector's first nonzero component is real positive.
+    unbiased. Composite and even dimensions beyond 2 are rejected, and so
+    are sets the hyperplane check would reject as too large (n > 43), before
+    they are built. Every vector's first nonzero component is real positive.
     """
     if n == 2:
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -51,6 +52,7 @@ def build_mubs(n: int) -> list[np.ndarray]:
     if n < 2 or not _is_odd_prime(n):
         raise ValidationError(
             f"complete MUB sets are constructed only for n = 2 and odd primes, got {n}")
+    _check_hyperplane_size(n + 1, n)
     bases = [np.eye(n, dtype=complex)]
     l = np.arange(n)
     for k in range(n):
@@ -78,10 +80,7 @@ def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationRepor
     """
     checked = _common_dimension(bases)
     count, n = checked.shape[:2]
-    if max(count * n ** 3, (count * n) ** 2) > HYPERPLANE_MAX_ENTRIES:
-        raise ValidationError(
-            f"{count} bases of dimension {n} exceed the hyperplane check's cap of "
-            f"{HYPERPLANE_MAX_ENTRIES} complex entries")
+    _check_hyperplane_size(count, n)
     vectors = np.concatenate(checked, axis=1)  # column b*n + i is vector i of basis b
     ops = np.einsum("ar,br->rab", vectors, vectors.conj()) - np.eye(n) / n
     gram = ops.reshape(len(ops), -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
@@ -137,6 +136,13 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
     rho = (np.einsum("ji,jai,jbi->ab", deviations, checked, checked.conj())
            + np.eye(n) * (1.0 - deviations.sum()) / n)
     return (rho + rho.conj().T) / 2.0
+
+
+def _check_hyperplane_size(count: int, n: int) -> None:
+    if max(count * n ** 3, (count * n) ** 2) > HYPERPLANE_MAX_ENTRIES:
+        raise ValidationError(
+            f"{count} bases of dimension {n} exceed the hyperplane check's cap of "
+            f"{HYPERPLANE_MAX_ENTRIES} complex entries")
 
 
 def _common_dimension(bases) -> np.ndarray:

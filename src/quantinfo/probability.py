@@ -19,21 +19,19 @@ _MEMO_BYTES = 2 ** 20        # keys plus values the validator memo may hold
 _MEMO_ENTRY_BYTES = 640      # allowance for the Python objects around one entry
 
 
-def as_distribution(p, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
+def as_distribution(p) -> np.ndarray:
     """Validate a probability vector and return it exactly normalized.
 
-    Entries in [-entry_tol, 0) are rounding noise and clamp to zero; a sum
-    within sum_tol of 1 is renormalized. Anything further off is rejected
+    Entries in [-ENTRY_TOL, 0) are rounding noise and clamp to zero; a sum
+    within SUM_TOL of 1 is renormalized. Anything further off is rejected
     rather than silently repaired.
     """
-    what = "probability vector"
-    return _memo(_clamp, _as_array(p, float, what), 1, what, entry_tol, sum_tol)
+    return _clamp(p, 1, "probability vector", ENTRY_TOL, SUM_TOL)
 
 
-def as_joint_distribution(table, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
+def as_joint_distribution(table) -> np.ndarray:
     """Validate a 2-d joint probability table; same clamping rules as vectors."""
-    what = "joint probability table"
-    return _memo(_clamp, _as_array(table, float, what), 2, what, entry_tol, sum_tol)
+    return _clamp(table, 2, "joint probability table", ENTRY_TOL, SUM_TOL)
 
 
 def shannon_entropy(p) -> float:
@@ -115,9 +113,16 @@ def majorizes(p, q, tol: float = 1e-9) -> bool:
     return bool((sums[0] >= sums[1] - tol).all())
 
 
-def as_doubly_stochastic(matrix, *, entry_tol: float = ENTRY_TOL, sum_tol: float = SUM_TOL) -> np.ndarray:
-    """Validate a square matrix with nonnegative entries and unit row/column sums."""
-    return _memo(_doubly_stochastic, _as_array(matrix, float, "matrix"), entry_tol, sum_tol)
+def as_doubly_stochastic(matrix) -> np.ndarray:
+    """Validate a square matrix with nonnegative entries and unit row/column sums (within SUM_TOL)."""
+    arr = _clamp(matrix, 2, "matrix", ENTRY_TOL)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValidationError("expected a nonempty square matrix")
+    if np.any(np.abs(arr.sum(axis=0) - 1.0) >= SUM_TOL):
+        raise ValidationError("column sums deviate from 1")
+    if np.any(np.abs(arr.sum(axis=1) - 1.0) >= SUM_TOL):
+        raise ValidationError("row sums deviate from 1")
+    return arr
 
 
 def apply_doubly_stochastic(matrix, p) -> np.ndarray:
@@ -130,19 +135,16 @@ def apply_doubly_stochastic(matrix, p) -> np.ndarray:
     return mixed / mixed.sum()
 
 
-def random_doubly_stochastic(n: int, seed: int, permutations: int | None = None) -> np.ndarray:
+def random_doubly_stochastic(n: int, seed: int) -> np.ndarray:
     """Seeded random convex combination of permutation matrices (Birkhoff form).
 
-    At least n permutation matrices enter the combination so that generic
-    draws have full support.
+    n + 1 permutation matrices enter the combination so that generic draws
+    have full support.
     """
     if n < 1:
         raise ValidationError("matrix size must be >= 1")
-    k = n + 1 if permutations is None else permutations
-    if k < n:
-        raise ValidationError(f"need at least {n} permutation matrices, got {k}")
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(k))
+    weights = rng.dirichlet(np.ones(n + 1))
     out = np.zeros((n, n))
     rows = np.arange(n)
     for w in weights:
@@ -212,19 +214,12 @@ def _clamp_entries(arr: np.ndarray, what: str, entry_tol: float, sum_tol: float 
     return arr / totals
 
 
-def _doubly_stochastic(matrix: np.ndarray, entry_tol: float, sum_tol: float) -> np.ndarray:
-    arr = _clamp(matrix, 2, "matrix", entry_tol)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError("expected a nonempty square matrix")
-    if np.any(np.abs(arr.sum(axis=0) - 1.0) >= sum_tol):
-        raise ValidationError("column sums deviate from 1")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) >= sum_tol):
-        raise ValidationError("row sums deviate from 1")
-    return arr
-
-
 class _Memo:
     """Results of passed checks, keyed by the exact content of the checked array.
+
+    It serves the matrix checks and the complete-MUB-set check, whose
+    eigvalsh and overlap scans cost more than a miss. A distribution check
+    costs less than a miss, so the probability validators call _clamp directly.
 
     The key holds the array's raw bytes (not a digest, so no collision can
     hand one input another's verdict), its dtype and shape, the check and the
@@ -233,9 +228,8 @@ class _Memo:
     and a hit returns a copy. An entry costs its key's bytes, its value's
     bytes (none when the check returned its input: the value is then a view
     of the key's bytes) and _MEMO_ENTRY_BYTES. Past the budget the least
-    recently used entries are evicted; an entry larger than the budget, or
-    one whose arguments cannot be hashed (a 0-d array tolerance), is checked
-    but not stored.
+    recently used entries are evicted; an entry larger than the budget is
+    checked but not stored.
     """
 
     def __init__(self, budget: int):
@@ -249,10 +243,7 @@ class _Memo:
             return check(arr, *args)
         raw = arr.tobytes()
         key = (check, arr.dtype, arr.shape, args, raw)
-        try:
-            entry = self._entries.get(key)  # single dict operations are atomic; the lock guards size
-        except TypeError:  # an unhashable argument, such as a 0-d array tolerance
-            return check(arr, *args)
+        entry = self._entries.get(key)  # single dict operations are atomic; the lock guards size
         if entry is not None:
             try:
                 self._entries.move_to_end(key)

@@ -27,23 +27,23 @@ PAULIS = {
 }
 
 
-def as_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrized matrix (M + M*)/2."""
-    return _as_matrices(matrix, 2, "hermitian", tol)
+def as_hermitian(matrix) -> np.ndarray:
+    """Validate Hermiticity within HERMITIAN_TOL and return the symmetrized matrix (M + M*)/2."""
+    return _as_matrices(matrix, 2, "hermitian")
 
 
-def as_density(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def as_density(matrix) -> np.ndarray:
     """Validate a density operator: Hermitian, unit trace, positive semidefinite.
 
     The trace is renormalized to exactly 1 when within tolerance; eigenvalues
     down to -EIGENVALUE_TOL are accepted as rounding noise.
     """
-    return _as_matrices(matrix, 2, "density", tol)
+    return _as_matrices(matrix, 2, "density")
 
 
-def as_basis(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate an orthonormal basis given as the columns of a unitary matrix."""
-    return _as_matrices(matrix, 2, "basis", tol)
+def as_basis(matrix) -> np.ndarray:
+    """Validate an orthonormal basis (within HERMITIAN_TOL) given as the columns of a unitary matrix."""
+    return _as_matrices(matrix, 2, "basis")
 
 
 def pure_state(vector) -> np.ndarray:
@@ -224,14 +224,14 @@ def _hermitian_pair(a, b) -> np.ndarray:
     return _as_matrices([a, b], 3, "hermitian")
 
 
-def _as_matrices(values, ndim: int, kind: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
     """The one matrix validator: a finite square matrix (ndim 2) or a stack of them (ndim 3).
 
     kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
     "density" also renormalizes a trace within TRACE_TOL of 1 and rejects
     eigenvalues below -EIGENVALUE_TOL. Each distinct input is checked once.
     """
-    return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind, tol)
+    return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind, HERMITIAN_TOL)
 
 
 def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import quantinfo
-from quantinfo import bloch_state, cq_ensemble, ensemble_to_json, pure_state
+from quantinfo import bloch_state, cq_ensemble, ensemble_to_json, pure_state, state_to_json
 from quantinfo.cli import run
 
 
@@ -212,6 +212,14 @@ class TestMubCommands:
         assert payload["per_basis"] == pytest.approx([0.08, 0.045, 0.0], abs=1e-12)
         assert payload["sum"] == pytest.approx(0.125, abs=1e-12)
         assert payload["difference"] < 1e-12
+
+    def test_mub_sum_oversized_state_fails_fast(self, capsys, tmp_path):
+        path = tmp_path / "mixed47.json"
+        path.write_text(json.dumps(state_to_json(np.eye(47) / 47)))
+        code, out, err = cli(capsys, "mub-sum", "--state", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_reconstruct_round_trip(self, capsys):
         code, payload, _ = cli_json(

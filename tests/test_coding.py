@@ -16,6 +16,7 @@ from quantinfo import (
     shannon_entropy,
     typical_set,
 )
+from quantinfo import coding
 from quantinfo.coding import ENUMERATION_CAP
 
 
@@ -94,15 +95,34 @@ class TestTypicalSet:
         typical_set([1 / 6] * 6, 17, 0.1)
         with pytest.raises(ValidationError, match="33649 type classes"):
             typical_set([1 / 6] * 6, 18, 0.1)
-        # the cap is exact: 6 classes at N = 5 for two letters
-        assert typical_set([0.8, 0.2], 5, 0.5, cap=6).count > 0
-        with pytest.raises(ValidationError):
-            typical_set([0.8, 0.2], 5, 0.5, cap=5)
+
+    def test_cap_is_exact(self, monkeypatch):
+        # 6 classes at N = 5 for two letters
+        monkeypatch.setattr(coding, "ENUMERATION_CAP", 6)
+        assert typical_set([0.8, 0.2], 5, 0.5).count > 0
+        monkeypatch.setattr(coding, "ENUMERATION_CAP", 5)
+        with pytest.raises(ValidationError, match="6 type classes"):
+            typical_set([0.8, 0.2], 5, 0.5)
 
     def test_sequence_count_beyond_exact_floats_rejected(self):
         typical_set([0.5, 0.5], 53, 0.1)
         with pytest.raises(ValidationError, match="2\\^53"):
             typical_set([0.5, 0.5], 54, 0.1)
+        # three letters: 3^33 < 2^53 < 3^34
+        typical_set([0.2, 0.3, 0.5], 33, 0.1)
+        with pytest.raises(ValidationError, match="3\\^34 sequences exceed 2\\^53"):
+            typical_set([0.2, 0.3, 0.5], 34, 0.1)
+
+    def test_huge_block_length_rejected_fast(self):
+        # n^k for k = 10^9 would be an exact integer of 10^9 digits
+        for check in (lambda k: typical_set([0.2, 0.3, 0.5], k, 0.1),
+                      lambda k: block_question_rate([0.2, 0.3, 0.5], k)):
+            start = time.perf_counter()
+            with pytest.raises(ValidationError, match="3\\^1000000000 sequences exceed 2\\^53"):
+                check(10 ** 9)
+            assert time.perf_counter() - start < 0.05
+        # one letter has one sequence at every block length
+        assert typical_set([1.0], 10 ** 9, 0.1).count == 1
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValidationError):
@@ -247,6 +267,10 @@ class TestBlockQuestionRate:
         # 1,101 classes, but multiplicities up to C(1100, 550) overflow a float
         with pytest.raises(ValidationError, match="2\\^53"):
             block_question_rate([0.5, 0.5], 1100)
+        h = shannon_entropy([0.2, 0.3, 0.5])
+        assert h <= block_question_rate([0.2, 0.3, 0.5], 33) < h + 1.0 / 33
+        with pytest.raises(ValidationError, match="3\\^34 sequences exceed 2\\^53"):
+            block_question_rate([0.2, 0.3, 0.5], 34)
 
     def test_long_binary_block_is_fast(self):
         start = time.perf_counter()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from quantinfo import (
     total_information,
     verify_unbiased,
 )
+from quantinfo import mub
 from quantinfo.probability import _MEMO_BYTES, _memo
 
 
@@ -87,6 +90,15 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             build_mubs(n)
 
+    def test_oversized_set_rejected_before_it_is_built(self):
+        # the hyperplane check's cap: 44 * 43 = 1892 vectors pass, 48 * 47 do not
+        assert len(build_mubs(43)) == 44
+        for n in (47, 1009):  # 1010 bases of 1009^2 entries would be about 16 GB
+            start = time.perf_counter()
+            with pytest.raises(ValidationError, match="cap"):
+                build_mubs(n)
+            assert time.perf_counter() - start < 0.1
+
     def test_qutrit_cross_overlaps_are_exactly_flat(self):
         bases = build_mubs(3)
         for j in range(4):
@@ -152,7 +164,7 @@ class TestVerification:
     def test_hyperplane_rejects_oversized_set(self):
         # 48 * 47^3 deviation-operator entries exceed 2^22
         with pytest.raises(ValidationError, match="cap"):
-            hyperplane_orthogonality(build_mubs(47))
+            hyperplane_orthogonality([np.eye(47, dtype=complex)] * 48)
 
     def test_hyperplane_matches_overlap_verdict(self):
         z = np.eye(2, dtype=complex)
@@ -272,6 +284,21 @@ class TestInformationSum:
         z = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError):
             information_sum(np.eye(2) / 2, [z, z[:, ::-1], build_mubs(2)[1]])
+
+    def test_one_set_is_checked_once(self, monkeypatch):
+        calls = []
+        check = mub._check_complete_set
+
+        def counted(arr):
+            calls.append(arr.shape)
+            return check(arr)
+
+        monkeypatch.setattr(mub, "_check_complete_set", counted)
+        bases = build_mubs(5)
+        for i in range(5):
+            rho = random_density(5, seed=380 + i)
+            assert information_sum(rho, bases) == pytest.approx(total_information(rho), abs=1e-12)
+        assert calls == [(6, 5, 5)]
 
     def test_relabeled_set_rejected_after_the_real_one(self):
         # same content size and shape as the accepted set, so only the memo key
