@@ -102,6 +102,11 @@ class TestPropositionInformation:
         assert proposition_information(rho, np.diag([1.0, 0.0])) == pytest.approx(
             2 * 0.3 ** 2, abs=1e-12)
 
+    def test_answer_noise_within_the_eigenvalue_window(self):
+        # as_density accepts an eigenvalue of -5e-10, so p_yes = -5e-10 clamps to 0
+        rho = np.diag([1.0 + 5e-10, -5e-10])
+        assert proposition_information(rho, np.diag([0.0, 1.0])) == 0.5
+
     def test_non_projector_rejected(self):
         with pytest.raises(ValidationError):
             proposition_information(pure_state([1, 0]), np.diag([0.5, 0.5]))
