@@ -35,6 +35,8 @@ from .quantum import (
 )
 
 QUBIT_GRID = (180, 360)  # polar x azimuthal points of the exhaustive qubit scan
+HILL_CLIMB_RESTARTS = 8  # random starting bases of the search above dimension 2
+HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
 
 
 @dataclass(frozen=True)
@@ -123,28 +125,23 @@ def specification_information(ensemble: CqEnsemble) -> float:
     return float(_entropy(ensemble.priors))
 
 
-def accessible_information(
-    ensemble: CqEnsemble,
-    seed: int = 0,
-    restarts: int = 8,
-    steps: int = 200,
-) -> AccessibleInfo:
+def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInfo:
     """Search for the best projective readout of an ensemble.
 
     Qubit ensembles get an exhaustive 180 x 360 polar x azimuthal grid of
     spin readouts, then nested local grids around the best point, so the
     qubit result is deterministic and seed-independent.
-    Higher dimensions use seeded random-restart hill climbing over bases and
-    report a lower bound. POVMs are excluded by design; the search covers
-    projective measurements only.
+    Higher dimensions use seeded hill climbing over bases (HILL_CLIMB_RESTARTS
+    x HILL_CLIMB_STEPS) and report a lower bound. POVMs are excluded by
+    design; the search covers projective measurements only.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     if ensemble.dim == 2:
         direction = _best_qubit_direction(ensemble)
         effects = tuple(basis_projectors(spin_basis(direction)))
         return AccessibleInfo(measured_information(ensemble, effects), effects, "grid")
-    if restarts < 1 or steps < 1:
-        raise ValidationError("search budget must allow at least one restart and step")
-    basis = _hill_climb_basis(ensemble, seed, restarts, steps)
+    basis = _hill_climb_basis(ensemble, seed)
     effects = tuple(basis_projectors(basis))
     return AccessibleInfo(measured_information(ensemble, effects), effects, "hill-climb")
 
@@ -155,6 +152,8 @@ def wrong_basis_demo(theta: float, priors=(0.5, 0.5)) -> WrongBasisReport:
     The readout direction is tilted by theta from z in the x-z plane, so for
     equiprobable bits the recovered information is 1 - H2(cos^2(theta/2)).
     """
+    if not np.isfinite(theta):
+        raise ValidationError(f"tilt angle must be finite, got {theta}")
     dist = as_distribution(priors)
     if dist.size != 2:
         raise ValidationError("the stored letter is a single bit: need two priors")
@@ -258,7 +257,7 @@ def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
     return _direction(theta, phi)
 
 
-def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int) -> np.ndarray:
+def _hill_climb_basis(ensemble: CqEnsemble, seed: int) -> np.ndarray:
     n = ensemble.dim
     priors = ensemble.priors
     states = ensemble.states
@@ -268,7 +267,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int
         born = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
         return _mutual_information(_joint(priors, born))
 
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    seeds = np.random.SeedSequence(seed).spawn(HILL_CLIMB_RESTARTS)
     best_value = -np.inf
     best_basis: np.ndarray | None = None
     for child in seeds:
@@ -278,7 +277,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int, restarts: int, steps: int
         basis = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         current = score(basis)
         step = 0.5
-        for _ in range(steps):
+        for _ in range(HILL_CLIMB_STEPS):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             generator = (g + g.conj().T) / 2.0
             values, vectors = np.linalg.eigh(step * generator)

@@ -57,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON object")
-    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_tol.add_argument("--tol", type=float, default=1e-9,
-                          help="comparison tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("entropy", parents=[common],
@@ -83,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arguments(p)
     p.set_defaults(handler=_cmd_itot)
 
-    p = sub.add_parser("mub-verify", parents=[with_tol],
+    p = sub.add_parser("mub-verify", parents=[common],
                        help="build a complete MUB set and verify it exhaustively")
     p.add_argument("--dim", type=int, required=True, help="2 or an odd prime")
     p.set_defaults(handler=_cmd_mub_verify)
@@ -93,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arguments(p)
     p.set_defaults(handler=_cmd_mub_sum)
 
-    p = sub.add_parser("reconstruct", parents=[with_tol],
+    p = sub.add_parser("reconstruct", parents=[common],
                        help="rebuild a state from MUB outcome statistics")
     p.add_argument("--probs", required=True,
                    help="n+1 outcome distributions, semicolon-separated, e.g. '0.7,0.3;0.65,0.35;0.5,0.5'")
@@ -108,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for the best projective readout of an ensemble")
     p.add_argument("--ensemble", required=True, help="path to an ensemble JSON file")
     p.add_argument("--seed", type=int, default=0, help="search seed (dims > 2)")
-    p.add_argument("--restarts", type=int, default=8, help="hill-climb restarts (dims > 2)")
-    p.add_argument("--steps", type=int, default=200, help="hill-climb steps per restart")
     p.set_defaults(handler=_cmd_accessible)
 
     p = sub.add_parser("wrongbasis", parents=[common],
@@ -132,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="questions per symbol on blocks of this length (default 1)")
     p.set_defaults(handler=_cmd_questions)
 
-    p = sub.add_parser("majorize", parents=[with_tol],
+    p = sub.add_parser("majorize", parents=[common],
                        help="does distribution p majorize distribution q?")
     p.add_argument("--p", required=True, help="comma-separated probabilities")
     p.add_argument("--q", required=True, help="comma-separated probabilities")
@@ -233,10 +228,10 @@ def _cmd_itot(args):
 def _cmd_mub_verify(args):
     bases = mub.build_mubs(args.dim)
     # the hyperplane check's size cap rejects an oversized set before the overlap scan
-    hyper = mub.hyperplane_orthogonality(bases, tol=args.tol)
-    unbiased = mub.verify_unbiased(bases, tol=args.tol)
+    hyper = mub.hyperplane_orthogonality(bases)
+    unbiased = mub.verify_unbiased(bases)
     payload = {
-        "command": "mub-verify", "dim": args.dim, "tol": args.tol,
+        "command": "mub-verify", "dim": args.dim,
         "bases": len(bases),
         "unbiasedness": {"max_deviation": unbiased.max_deviation,
                          "worst_pair": list(unbiased.worst_pair),
@@ -248,9 +243,9 @@ def _cmd_mub_verify(args):
     lines = [
         f"built {len(bases)} bases for dim {args.dim}",
         f"unbiasedness: max |Tr(PQ) - 1/n| = {unbiased.max_deviation:.3e} "
-        f"({'pass' if unbiased.passed else 'FAIL'} at tol {args.tol:g})",
+        f"({'pass' if unbiased.passed else 'FAIL'} at tol {mub.UNBIASED_TOL:g})",
         f"hyperplane orthogonality: max |Tr(Pbar Qbar)| = {hyper.max_deviation:.3e} "
-        f"({'pass' if hyper.passed else 'FAIL'} at tol {args.tol:g})",
+        f"({'pass' if hyper.passed else 'FAIL'} at tol {mub.UNBIASED_TOL:g})",
     ]
     return payload, lines, 0
 
@@ -278,6 +273,8 @@ def _cmd_reconstruct(args):
     groups = [piece for piece in args.probs.split(";") if piece.strip()]
     dists = [_cli_distribution(piece, f"outcome distribution {i}")
              for i, piece in enumerate(groups)]
+    if not dists:
+        raise ValidationError("no outcome distributions given")
     # count before building: a complete set for n costs O(n^4) to check
     n = len(dists[0])
     if len(dists) != n + 1:
@@ -287,11 +284,12 @@ def _cmd_reconstruct(args):
     bases = mub.build_mubs(n)
     rho = mub.reconstruct(dists, bases)
     smallest = quantum.smallest_eigenvalue(rho)
-    payload = {"command": "reconstruct", "probs": dists, "tol": args.tol,
+    payload = {"command": "reconstruct", "probs": dists,
                "state": state_to_json(rho), "smallest_eigenvalue": smallest}
+    indefinite = smallest < -quantum.EIGENVALUE_TOL
     lines = _matrix_lines(rho)
     lines.append(f"smallest eigenvalue = {smallest:.6e}"
-                 + ("  (indefinite: statistics are not exactly quantum)" if smallest < -args.tol else ""))
+                 + ("  (indefinite: statistics are not exactly quantum)" if indefinite else ""))
     return payload, lines, 0
 
 
@@ -311,11 +309,9 @@ def _cmd_holevo(args):
 
 def _cmd_accessible(args):
     ensemble = load_ensemble(args.ensemble)
-    found = channel.accessible_information(
-        ensemble, seed=args.seed, restarts=args.restarts, steps=args.steps)
+    found = channel.accessible_information(ensemble, seed=args.seed)
     chi = channel.holevo_chi(ensemble)
-    payload = {"command": "accessible", "ensemble": args.ensemble,
-               "seed": args.seed, "restarts": args.restarts, "steps": args.steps,
+    payload = {"command": "accessible", "ensemble": args.ensemble, "seed": args.seed,
                "method": found.method, "accessible_information": found.value, "holevo_chi": chi,
                "gap": chi - found.value,
                "effects": [state_to_json(e) for e in found.effects]}
@@ -390,9 +386,9 @@ def _cmd_questions(args):
 def _cmd_majorize(args):
     p = _cli_distribution(args.p, "p")
     q = _cli_distribution(args.q, "q")
-    forward = probability.majorizes(p, q, tol=args.tol)
-    backward = probability.majorizes(q, p, tol=args.tol)
-    payload = {"command": "majorize", "p": p, "q": q, "tol": args.tol,
+    forward = probability.majorizes(p, q)
+    backward = probability.majorizes(q, p)
+    payload = {"command": "majorize", "p": p, "q": q,
                "p_majorizes_q": forward, "q_majorizes_p": backward}
     return payload, [
         f"p majorizes q: {forward}",

@@ -24,12 +24,11 @@ class DeviationReport:
     """Worst-case deviation over all cross-basis projector pairs.
 
     worst_pair is (basis_j, vector_i, basis_k, vector_m) for the offending
-    pair of projectors.
+    pair of projectors; passed means max_deviation < UNBIASED_TOL.
     """
 
     max_deviation: float
     worst_pair: tuple[int, int, int, int]
-    tol: float
     passed: bool
 
 
@@ -62,12 +61,12 @@ def build_mubs(n: int) -> list[np.ndarray]:
     return bases
 
 
-def verify_unbiased(bases, tol: float = UNBIASED_TOL) -> DeviationReport:
+def verify_unbiased(bases) -> DeviationReport:
     """Exhaustive check of |Tr(P Q) - 1/n| over all cross-basis projector pairs."""
-    return _overlap_report(_common_dimension(bases), tol)
+    return _overlap_report(_common_dimension(bases))
 
 
-def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationReport:
+def hyperplane_orthogonality(bases) -> DeviationReport:
     """Exhaustive check of |Tr(Pbar Qbar)| over all cross-basis pairs.
 
     Pbar = P - I/n is the traceless part of a projector; for unbiased bases
@@ -90,7 +89,7 @@ def hyperplane_orthogonality(bases, tol: float = UNBIASED_TOL) -> DeviationRepor
     j, k, i, m = (int(x) for x in np.unravel_index(np.argmax(scan), scan.shape))
     worst = float(scan[j, k, i, m])
     worst_pair = (j, i, k, m) if worst > 0.0 else (0, 0, 0, 0)
-    return DeviationReport(worst, worst_pair, tol, worst < tol)
+    return DeviationReport(worst, worst_pair, worst < UNBIASED_TOL)
 
 
 def information_sum(rho, bases) -> float:
@@ -167,14 +166,14 @@ def _check_complete_set(arr: np.ndarray) -> np.ndarray:
     n = checked.shape[1]
     if len(checked) != n + 1:
         raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")
-    report = _overlap_report(checked, UNBIASED_TOL)
+    report = _overlap_report(checked)
     if not report.passed:
         raise ValidationError(
             f"bases are not mutually unbiased: deviation {report.max_deviation:.3e}")
     return checked
 
 
-def _overlap_report(checked: np.ndarray, tol: float) -> DeviationReport:
+def _overlap_report(checked: np.ndarray) -> DeviationReport:
     # one product of basis j with all later bases, not a (count n)^2 Gram
     # matrix; the first maximum in (j, k, i, m) order wins
     count, n = checked.shape[:2]
@@ -186,7 +185,7 @@ def _overlap_report(checked: np.ndarray, tol: float) -> DeviationReport:
         if deviation[k, i, m] > worst:
             worst = float(deviation[k, i, m])
             worst_pair = (j, int(i), j + 1 + int(k), int(m))
-    return DeviationReport(worst, worst_pair, tol, worst < tol)
+    return DeviationReport(worst, worst_pair, worst < UNBIASED_TOL)
 
 
 def _is_odd_prime(n: int) -> bool:

@@ -99,8 +99,8 @@ def mutual_information(joint) -> float:
     return float(_mutual_information(as_joint_distribution(joint)))
 
 
-def majorizes(p, q, tol: float = 1e-9) -> bool:
-    """True if p majorizes q (descending partial sums of p dominate q's).
+def majorizes(p, q) -> bool:
+    """True if p majorizes q (descending partial sums of p dominate q's, within SUM_TOL).
 
     Vectors of different lengths are compared after padding with zeros. The
     uniform distribution is majorized by everything of its length.
@@ -110,7 +110,7 @@ def majorizes(p, q, tol: float = 1e-9) -> bool:
     padded[0, :a.size] = np.sort(a)[::-1]
     padded[1, :b.size] = np.sort(b)[::-1]
     sums = np.cumsum(padded, axis=1)
-    return bool((sums[0] >= sums[1] - tol).all())
+    return bool((sums[0] >= sums[1] - SUM_TOL).all())
 
 
 def as_doubly_stochastic(matrix) -> np.ndarray:

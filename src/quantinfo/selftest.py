@@ -63,8 +63,8 @@ def check_mub_construction() -> CheckResult:
     worst = 0.0
     for n in (2, 3, 5, 7):
         bases = mub.build_mubs(n)
-        worst = max(worst, mub.verify_unbiased(bases, tol=1e-12).max_deviation)
-        worst = max(worst, mub.hyperplane_orthogonality(bases, tol=1e-12).max_deviation)
+        worst = max(worst, mub.verify_unbiased(bases).max_deviation)
+        worst = max(worst, mub.hyperplane_orthogonality(bases).max_deviation)
     return CheckResult(
         "mub construction",
         worst < 1e-12,

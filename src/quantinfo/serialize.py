@@ -46,9 +46,12 @@ def state_from_json(doc) -> np.ndarray:
         raise ValidationError("matrix entries must be [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError("matrix must be square")
-    if "dim" in doc and int(doc["dim"]) != arr.shape[0]:
+    dim = doc.get("dim", arr.shape[0])
+    if type(dim) is not int:  # a JSON true is a Python bool, an int subclass
+        raise ValidationError(f'"dim" must be an integer, got {dim!r}')
+    if dim != arr.shape[0]:
         raise ValidationError(
-            f'"dim" is {doc["dim"]} but the matrix is {arr.shape[0]}x{arr.shape[1]}')
+            f'"dim" is {dim} but the matrix is {arr.shape[0]}x{arr.shape[1]}')
     return arr
 
 
@@ -70,6 +73,8 @@ def ensemble_from_json(doc) -> CqEnsemble:
         raise ValidationError('"states" must be a nonempty list of state documents')
     states = [state_from_json(s) for s in doc["states"]]
     letters = doc.get("letters")
+    if letters is not None and not isinstance(letters, list):
+        raise ValidationError('"letters" must be a list of names')
     return cq_ensemble(doc["priors"], states, letters)
 
 

@@ -215,14 +215,14 @@ class TestAccessibleInformation:
 
     def test_hill_climb_respects_the_bound(self):
         ens = random_ensemble(3, 3, seed=42)
-        result = accessible_information(ens, seed=1, restarts=2, steps=60)
+        result = accessible_information(ens, seed=1)
         assert result.method == "hill-climb"
         assert 0.0 <= result.value <= holevo_chi(ens) + 1e-9
 
     def test_hill_climb_is_seeded(self):
         ens = random_ensemble(3, 2, seed=7)
-        first = accessible_information(ens, seed=3, restarts=2, steps=40)
-        second = accessible_information(ens, seed=3, restarts=2, steps=40)
+        first = accessible_information(ens, seed=3)
+        second = accessible_information(ens, seed=3)
         assert first.value == second.value
         for a, b in zip(first.effects, second.effects):
             assert np.array_equal(a, b)
@@ -231,16 +231,16 @@ class TestAccessibleInformation:
         states = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
                   np.diag([0.0, 0.0, 1.0])]
         ens = cq_ensemble([1 / 3] * 3, states)
-        result = accessible_information(ens, seed=0, restarts=4, steps=200)
+        result = accessible_information(ens, seed=0)
         assert result.value <= np.log2(3) + 1e-9
         assert result.value > 1.5
 
-    def test_empty_budget_rejected(self):
-        ens = random_ensemble(3, 2, seed=1)
-        with pytest.raises(ValidationError):
-            accessible_information(ens, restarts=0)
-        with pytest.raises(ValidationError):
-            accessible_information(ens, steps=0)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_seed_rejected_in_every_dimension(self, n):
+        ens = random_ensemble(n, 2, seed=1)
+        for seed in (-1, None, 1.5):
+            with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+                accessible_information(ens, seed=seed)
 
 
 class TestQubitScorer:
@@ -293,6 +293,12 @@ class TestWrongBasisDemo:
     def test_needs_exactly_two_priors(self):
         with pytest.raises(ValidationError):
             wrong_basis_demo(0.3, priors=(0.5, 0.25, 0.25))
+
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_theta_rejected_without_warning(self, theta):
+        # pytest turns RuntimeWarning into an error, so sin(inf) would fail this test
+        with pytest.raises(ValidationError, match="tilt angle must be finite"):
+            wrong_basis_demo(theta)
 
 
 class TestRandomEnsemble:

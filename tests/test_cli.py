@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,28 @@ import numpy as np
 import pytest
 
 import quantinfo
-from quantinfo import bloch_state, cq_ensemble, ensemble_to_json, pure_state, state_to_json
-from quantinfo.cli import run
+from quantinfo import (
+    bloch_state, cq_ensemble, ensemble_to_json, pure_state, random_ensemble, state_to_json)
+from quantinfo.cli import build_parser, run
+
+# one accepted argument list per subcommand
+VALID_ARGS = {
+    "entropy": ["--dist", "0.5,0.5"],
+    "bzinfo": ["--dist", "0.5,0.5"],
+    "grouping": ["--dist", "0.5,0.5"],
+    "itot": ["--bloch", "0,0,0"],
+    "mub-verify": ["--dim", "3"],
+    "mub-sum": ["--bloch", "0,0,0"],
+    "reconstruct": ["--probs", "1,0;0.5,0.5;0.5,0.5"],
+    "holevo": ["--ensemble", "e.json"],
+    "accessible": ["--ensemble", "e.json"],
+    "wrongbasis": ["--theta", "1"],
+    "coding": ["--dist", "0.5,0.5", "--block", "2", "--epsilon", "0.1"],
+    "questions": ["--dist", "0.5,0.5"],
+    "majorize": ["--p", "1,0", "--q", "0.5,0.5"],
+    "entangle": ["--obs", "xx,yy", "--answers", "1,1"],
+    "selftest": [],
+}
 
 
 def cli(capsys, *argv):
@@ -127,14 +148,16 @@ class TestScalarCommands:
         assert payload["entropy_bits"] == pytest.approx(1.459148, abs=1e-5)
         assert payload["command"] == "entropy"
 
-    def test_tol_is_echoed(self, capsys):
-        _, payload, _ = cli_json(
-            capsys, "majorize", "--p", "0.5,0.5", "--q", "0.5,0.5", "--tol", "1e-6")
-        assert payload["tol"] == 1e-6
-
     def test_tol_is_a_usage_error_where_it_changes_nothing(self, capsys):
-        code, _, _ = cli(capsys, "entropy", "--dist", "0.5,0.5", "--tol", "1e-6")
-        assert code == 2
+        # verdict tolerances and the search budget are fixed: no subcommand takes them
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(action.choices) == set(VALID_ARGS)
+        for command, args in VALID_ARGS.items():
+            parser.parse_args([command, *args])
+            for option in ("--tol", "--restarts", "--steps"):
+                code, out, _ = cli(capsys, command, *args, option, "1")
+                assert code == 2 and out == "", (command, option)
 
     def test_bzinfo(self, capsys):
         code, payload, _ = cli_json(capsys, "bzinfo", "--dist", "0.65,0.35")
@@ -240,6 +263,12 @@ class TestMubCommands:
         code, _, _ = cli(capsys, "reconstruct", "--probs", "0.7,0.3")
         assert code == 1
 
+    def test_reconstruct_without_distributions_rejected(self, capsys):
+        for probs in (";", ""):
+            code, out, err = cli(capsys, "reconstruct", "--probs", probs)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: no outcome distributions")
+
     def test_reconstruct_counts_before_building_bases(self, capsys, monkeypatch):
         def unbuilt(n):
             raise AssertionError(f"build_mubs({n}) called")
@@ -272,6 +301,22 @@ class TestChannelCommands:
         _, second, _ = cli(capsys, "accessible", "--ensemble", ensemble_file, "--json")
         assert first == second
 
+    def test_accessible_negative_seed_rejected(self, capsys, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(ensemble_to_json(random_ensemble(3, 2, seed=5))))
+        code, out, err = cli(capsys, "accessible", "--ensemble", str(path), "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: seed must be a nonnegative integer")
+
+    def test_ensemble_with_non_integer_dim_rejected(self, capsys, tmp_path):
+        doc = ensemble_to_json(random_ensemble(2, 2, seed=5))
+        doc["states"][0]["dim"] = "abc"
+        path = tmp_path / "bad_dim.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = cli(capsys, "holevo", "--ensemble", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith('error: "dim" must be an integer')
+
     def test_missing_ensemble_file(self, capsys):
         code, _, err = cli(capsys, "holevo", "--ensemble", "/nonexistent.json")
         assert code == 1
@@ -284,6 +329,11 @@ class TestChannelCommands:
         assert payload["mutual_information"] == pytest.approx(0.188722, abs=1e-5)
         assert payload["conditional_entropy"] == pytest.approx(0.811278, abs=1e-5)
         assert np.allclose(payload["joint"], [[0.375, 0.125], [0.125, 0.375]], atol=1e-12)
+
+    def test_wrongbasis_infinite_theta_rejected(self, capsys):
+        code, out, err = cli(capsys, "wrongbasis", "--theta", "inf")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tilt angle must be finite")
 
 
 class TestCodingCommands:

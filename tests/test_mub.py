@@ -217,7 +217,7 @@ class TestHyperplaneAgainstReference:
         assert j < k
         pbar = np.outer(bases[j][:, i], bases[j][:, i].conj()) - np.eye(2) / 2
         qbar = np.outer(bases[k][:, m], bases[k][:, m].conj()) - np.eye(2) / 2
-        assert abs(np.trace(pbar @ qbar).real) > report.tol
+        assert abs(np.trace(pbar @ qbar).real) > mub.UNBIASED_TOL
 
 
 @st.composite

@@ -52,6 +52,13 @@ class TestStateDocuments:
         with pytest.raises(ValidationError):
             state_from_json(doc)
 
+    @pytest.mark.parametrize("dim", ["abc", None, 2.7, 2.0, True, [2]])
+    def test_dim_must_be_an_integer(self, dim):
+        doc = state_to_json(np.eye(2) / 2)
+        doc["dim"] = dim
+        with pytest.raises(ValidationError, match='"dim" must be an integer'):
+            state_from_json(doc)
+
     def test_entries_must_be_pairs(self):
         with pytest.raises(ValidationError):
             state_from_json({"matrix": [[0.5, 0.0], [0.0, 0.5]]})
@@ -89,6 +96,13 @@ class TestEnsembleDocuments:
             ensemble_from_json({"states": []})
         with pytest.raises(ValidationError):
             ensemble_from_json("not a dict")
+
+    @pytest.mark.parametrize("letters", [5, "ab", {"a": 1}])
+    def test_letters_must_be_a_list(self, letters):
+        doc = {"priors": [0.5, 0.5], "states": [state_to_json(np.eye(2) / 2)] * 2,
+               "letters": letters}
+        with pytest.raises(ValidationError, match='"letters" must be a list'):
+            ensemble_from_json(doc)
 
     def test_invalid_member_state_surfaces(self):
         doc = {"priors": [1.0], "states": [state_to_json(np.eye(2))]}
