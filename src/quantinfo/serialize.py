@@ -33,25 +33,25 @@ def state_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ValidationError("state document must be a JSON object")
     if "bloch" in doc:
-        return bloch_state(_float_list(doc["bloch"], "bloch", 3))
-    if "matrix" not in doc:
+        arr = bloch_state(_float_list(doc["bloch"], "bloch", 3))
+    elif "matrix" not in doc:
         raise ValidationError('state document needs a "matrix" or "bloch" field')
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError('"matrix" must be a nonempty list of rows')
-    try:
-        arr = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows])
-    except (TypeError, ValueError, IndexError):
-        raise ValidationError("matrix entries must be [re, im] pairs") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError("matrix must be square")
+    else:
+        rows = doc["matrix"]
+        if not isinstance(rows, list) or not rows:
+            raise ValidationError('"matrix" must be a nonempty list of rows')
+        try:
+            arr = np.array(
+                [[complex(entry[0], entry[1]) for entry in row] for row in rows])
+        except (TypeError, ValueError, IndexError):
+            raise ValidationError("matrix entries must be [re, im] pairs") from None
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValidationError("matrix must be square")
     dim = doc.get("dim", arr.shape[0])
     if type(dim) is not int:  # a JSON true is a Python bool, an int subclass
         raise ValidationError(f'"dim" must be an integer, got {dim!r}')
     if dim != arr.shape[0]:
-        raise ValidationError(
-            f'"dim" is {dim} but the matrix is {arr.shape[0]}x{arr.shape[1]}')
+        raise ValidationError(f'"dim" is {dim} but the matrix is {arr.shape[0]}x{arr.shape[1]}')
     return arr
 
 

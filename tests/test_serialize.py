@@ -53,11 +53,16 @@ class TestStateDocuments:
             state_from_json(doc)
 
     @pytest.mark.parametrize("dim", ["abc", None, 2.7, 2.0, True, [2]])
-    def test_dim_must_be_an_integer(self, dim):
-        doc = state_to_json(np.eye(2) / 2)
-        doc["dim"] = dim
+    @pytest.mark.parametrize("doc", [state_to_json(np.eye(2) / 2), {"bloch": [0.0, 0.0, 1.0]}],
+                             ids=["matrix", "bloch"])
+    def test_dim_must_be_an_integer(self, doc, dim):
         with pytest.raises(ValidationError, match='"dim" must be an integer'):
-            state_from_json(doc)
+            state_from_json({**doc, "dim": dim})
+
+    def test_bloch_dim_cross_check(self):
+        assert state_from_json({"bloch": [0.0, 0.0, 1.0], "dim": 2}).shape == (2, 2)
+        with pytest.raises(ValidationError, match='"dim" is 3'):
+            state_from_json({"bloch": [0.0, 0.0, 1.0], "dim": 3})
 
     def test_entries_must_be_pairs(self):
         with pytest.raises(ValidationError):
