@@ -3,6 +3,13 @@
 Every subcommand maps onto one library operation. Exit codes: 0 on success,
 1 when an input fails validation, 2 on usage errors. --json switches any
 subcommand to a single machine-readable object with all inputs echoed.
+
+Each _cmd_* handler returns one record, a list that run() alone renders. A
+(key, value, text) triple is a result in both modes: the JSON object gets
+key: value and the text gets the line text.format(value). A dict holds
+JSON-only keys (echoed inputs, term lists, effects) and a str is a text-only
+line (table rows). run() starts every object with "command", adds items in
+record order, and exits 1 when the object's top-level "passed" is false.
 """
 
 from __future__ import annotations
@@ -32,10 +39,20 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, lines, code = args.handler(args)
+        record = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    payload, lines = {"command": args.command}, []
+    for item in record:
+        if isinstance(item, str):
+            lines.append(item)
+        elif isinstance(item, dict):
+            payload.update(item)
+        else:
+            key, value, text = item
+            payload[key] = value
+            lines.append(text.format(value))
     try:
         if args.json:
             print(json.dumps(payload))
@@ -47,7 +64,7 @@ def run(argv=None) -> int:
         # the reader is gone: point stdout at devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
+    return 0 if payload.get("passed", True) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,40 +206,36 @@ def _matrix_lines(matrix: np.ndarray) -> list[str]:
 
 def _cmd_entropy(args):
     dist = _cli_distribution(args.dist)
-    value = probability.shannon_entropy(dist)
-    payload = {"command": "entropy", "dist": dist, "entropy_bits": value}
-    return payload, [f"H = {value:.6f} bits"], 0
+    return [{"dist": dist}, ("entropy_bits", probability.shannon_entropy(dist), "H = {:.6f} bits")]
 
 
 def _cmd_bzinfo(args):
     dist = _cli_distribution(args.dist)
     value = probability.quadratic_information(dist, norm=args.norm)
-    payload = {"command": "bzinfo", "dist": dist, "norm": args.norm, "information": value}
-    return payload, [f"I = {value:.6f}"], 0
+    return [{"dist": dist, "norm": args.norm}, ("information", value, "I = {:.6f}")]
 
 
 def _cmd_grouping(args):
     dist = _cli_distribution(args.dist)
     residual = probability.grouping_residual(dist)
-    full = probability.shannon_entropy(dist)
-    payload = {"command": "grouping", "dist": dist, "entropy_bits": full, "residual": residual}
-    return payload, [
-        f"H = {full:.6f} bits",
-        f"grouping residual = {residual:.3e}",
-    ], 0
+    return [{"dist": dist},
+            ("entropy_bits", probability.shannon_entropy(dist), "H = {:.6f} bits"),
+            ("residual", residual, "grouping residual = {:.3e}")]
 
 
 def _cmd_itot(args):
     rho = _resolve_state(args)
-    value = quantum.total_information(rho)
-    pure = quantum.purity(rho)
-    payload = {"command": "itot", "state": state_to_json(rho),
-               "purity": pure, "total_information": value}
-    return payload, [
-        f"dim = {rho.shape[0]}",
-        f"purity = {pure:.6f}",
-        f"total information = {value:.6f}",
-    ], 0
+    return [{"state": state_to_json(rho)}, f"dim = {rho.shape[0]}",
+            ("purity", quantum.purity(rho), "purity = {:.6f}"),
+            ("total_information", quantum.total_information(rho), "total information = {:.6f}")]
+
+
+def _verdict(key: str, label: str, report) -> tuple:
+    value = {"max_deviation": report.max_deviation, "worst_pair": list(report.worst_pair),
+             "passed": report.passed}
+    text = (f"{label} = {{0[max_deviation]:.3e}} "
+            f"({'pass' if report.passed else 'FAIL'} at tol {mub.UNBIASED_TOL:g})")
+    return key, value, text
 
 
 def _cmd_mub_verify(args):
@@ -230,24 +243,11 @@ def _cmd_mub_verify(args):
     # the hyperplane check's size cap rejects an oversized set before the overlap scan
     hyper = mub.hyperplane_orthogonality(bases)
     unbiased = mub.verify_unbiased(bases)
-    payload = {
-        "command": "mub-verify", "dim": args.dim,
-        "bases": len(bases),
-        "unbiasedness": {"max_deviation": unbiased.max_deviation,
-                         "worst_pair": list(unbiased.worst_pair),
-                         "passed": unbiased.passed},
-        "hyperplane_orthogonality": {"max_deviation": hyper.max_deviation,
-                                     "worst_pair": list(hyper.worst_pair),
-                                     "passed": hyper.passed},
-    }
-    lines = [
-        f"built {len(bases)} bases for dim {args.dim}",
-        f"unbiasedness: max |Tr(PQ) - 1/n| = {unbiased.max_deviation:.3e} "
-        f"({'pass' if unbiased.passed else 'FAIL'} at tol {mub.UNBIASED_TOL:g})",
-        f"hyperplane orthogonality: max |Tr(Pbar Qbar)| = {hyper.max_deviation:.3e} "
-        f"({'pass' if hyper.passed else 'FAIL'} at tol {mub.UNBIASED_TOL:g})",
-    ]
-    return payload, lines, 0
+    return [{"dim": args.dim},
+            ("bases", len(bases), f"built {{}} bases for dim {args.dim}"),
+            _verdict("unbiasedness", "unbiasedness: max |Tr(PQ) - 1/n|", unbiased),
+            _verdict("hyperplane_orthogonality",
+                     "hyperplane orthogonality: max |Tr(Pbar Qbar)|", hyper)]
 
 
 def _cmd_mub_sum(args):
@@ -257,16 +257,11 @@ def _cmd_mub_sum(args):
     per_basis = informations.tolist()
     total = float(informations.sum())
     direct = quantum.total_information(rho)
-    payload = {"command": "mub-sum", "state": state_to_json(rho), "per_basis": per_basis,
-               "sum": total, "direct": direct,
-               "difference": abs(total - direct)}
-    lines = [f"basis {i}: I = {v:.6f}" for i, v in enumerate(per_basis)]
-    lines += [
-        f"sum over {n + 1} bases = {total:.6f}",
-        f"Tr(rho - I/n)^2       = {direct:.6f}",
-        f"|difference| = {abs(total - direct):.3e}",
-    ]
-    return payload, lines, 0
+    return [{"state": state_to_json(rho), "per_basis": per_basis},
+            *(f"basis {i}: I = {v:.6f}" for i, v in enumerate(per_basis)),
+            ("sum", total, f"sum over {n + 1} bases = {{:.6f}}"),
+            ("direct", direct, "Tr(rho - I/n)^2       = {:.6f}"),
+            ("difference", abs(total - direct), "|difference| = {:.3e}")]
 
 
 def _cmd_reconstruct(args):
@@ -281,119 +276,82 @@ def _cmd_reconstruct(args):
         raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
     if any(len(d) != n for d in dists):
         raise ValidationError(f"each outcome distribution must have {n} entries")
-    bases = mub.build_mubs(n)
-    rho = mub.reconstruct(dists, bases)
+    rho = mub.reconstruct(dists, mub.build_mubs(n))
     smallest = quantum.smallest_eigenvalue(rho)
-    payload = {"command": "reconstruct", "probs": dists,
-               "state": state_to_json(rho), "smallest_eigenvalue": smallest}
     indefinite = smallest < -quantum.EIGENVALUE_TOL
-    lines = _matrix_lines(rho)
-    lines.append(f"smallest eigenvalue = {smallest:.6e}"
-                 + ("  (indefinite: statistics are not exactly quantum)" if indefinite else ""))
-    return payload, lines, 0
+    return [{"probs": dists, "state": state_to_json(rho)}, *_matrix_lines(rho),
+            ("smallest_eigenvalue", smallest, "smallest eigenvalue = {:.6e}"
+             + ("  (indefinite: statistics are not exactly quantum)" if indefinite else ""))]
 
 
 def _cmd_holevo(args):
     ensemble = load_ensemble(args.ensemble)
     chi = channel.holevo_chi(ensemble)
-    spec_info = channel.specification_information(ensemble)
-    payload = {"command": "holevo", "ensemble": args.ensemble,
-               "letters": list(ensemble.letters), "holevo_chi": chi,
-               "specification_information": spec_info}
-    return payload, [
-        f"letters: {', '.join(ensemble.letters)} (dim {ensemble.dim})",
-        f"specification information = {spec_info:.6f} bits",
-        f"Holevo chi = {chi:.6f} bits",
-    ], 0
+    # JSON puts chi first, the text last
+    return [{"ensemble": args.ensemble, "letters": list(ensemble.letters), "holevo_chi": chi},
+            f"letters: {', '.join(ensemble.letters)} (dim {ensemble.dim})",
+            ("specification_information", channel.specification_information(ensemble),
+             "specification information = {:.6f} bits"),
+            f"Holevo chi = {chi:.6f} bits"]
 
 
 def _cmd_accessible(args):
     ensemble = load_ensemble(args.ensemble)
     found = channel.accessible_information(ensemble, seed=args.seed)
     chi = channel.holevo_chi(ensemble)
-    payload = {"command": "accessible", "ensemble": args.ensemble, "seed": args.seed,
-               "method": found.method, "accessible_information": found.value, "holevo_chi": chi,
-               "gap": chi - found.value,
-               "effects": [state_to_json(e) for e in found.effects]}
-    lines = [
-        f"accessible information >= {found.value:.6f} bits ({found.method} search)",
-        f"Holevo chi = {chi:.6f} bits",
-        f"gap = {chi - found.value:.6f} bits",
-    ]
-    return payload, lines, 0
+    return [{"ensemble": args.ensemble, "seed": args.seed, "method": found.method},
+            ("accessible_information", found.value,
+             f"accessible information >= {{:.6f}} bits ({found.method} search)"),
+            ("holevo_chi", chi, "Holevo chi = {:.6f} bits"),
+            ("gap", chi - found.value, "gap = {:.6f} bits"),
+            {"effects": [state_to_json(e) for e in found.effects]}]
 
 
 def _cmd_wrongbasis(args):
     priors = _cli_distribution(args.priors, "priors")
     report = channel.wrong_basis_demo(args.theta, priors)
-    payload = {"command": "wrongbasis", "theta": args.theta, "priors": priors,
-               "joint": [list(map(float, row)) for row in report.joint],
-               "source_entropy": report.source_entropy,
-               "outcome_entropy": report.outcome_entropy,
-               "conditional_entropy": report.conditional,
-               "mutual_information": report.mutual}
-    lines = [
-        f"H(A)   = {report.source_entropy:.6f} bits",
-        f"H(B)   = {report.outcome_entropy:.6f} bits",
-        f"H(A|B) = {report.conditional:.6f} bits",
-        f"H(A:B) = {report.mutual:.6f} bits",
-    ]
-    return payload, lines, 0
+    return [{"theta": args.theta, "priors": priors,
+             "joint": [list(map(float, row)) for row in report.joint]},
+            ("source_entropy", report.source_entropy, "H(A)   = {:.6f} bits"),
+            ("outcome_entropy", report.outcome_entropy, "H(B)   = {:.6f} bits"),
+            ("conditional_entropy", report.conditional, "H(A|B) = {:.6f} bits"),
+            ("mutual_information", report.mutual, "H(A:B) = {:.6f} bits")]
 
 
 def _cmd_coding(args):
     dist = _cli_distribution(args.dist)
     report = coding.typical_set(dist, args.block, args.epsilon)
-    payload = {"command": "coding", "dist": dist, "block": args.block,
-               "epsilon": args.epsilon, "count": report.count, "rate": report.rate,
-               "total_probability": report.total_probability}
-    lines = [
-        f"typical sequences: {report.count}",
-        f"rate = {report.rate:.6f} bits/symbol",
-        f"total probability = {report.total_probability:.6f}",
-    ]
-    return payload, lines, 0
+    return [{"dist": dist, "block": args.block, "epsilon": args.epsilon},
+            ("count", report.count, "typical sequences: {}"),
+            ("rate", report.rate, "rate = {:.6f} bits/symbol"),
+            ("total_probability", report.total_probability, "total probability = {:.6f}")]
 
 
 def _cmd_questions(args):
     dist = _cli_distribution(args.dist)
     entropy = probability.shannon_entropy(dist)
-    if args.block == 1:
-        code = coding.question_strategy(dist)
-        kraft = sum(2.0 ** -length for length in code.lengths)
-        payload = {"command": "questions", "dist": dist, "block": 1,
-                   "lengths": list(code.lengths), "codewords": list(code.codewords),
-                   "average_length": code.average_length, "entropy_bits": entropy,
-                   "kraft_sum": kraft}
-        lines = [f"symbol {i}: p = {p:.6f}, {length} questions, answers {word or '(none)'}"
-                 for i, (p, length, word) in enumerate(zip(dist, code.lengths, code.codewords))]
-        lines += [
-            f"average questions = {code.average_length:.6f}",
-            f"entropy = {entropy:.6f} bits (window [H, H+1))",
-            f"Kraft sum = {kraft:.6f}",
-        ]
-        return payload, lines, 0
-    rate = coding.block_question_rate(dist, args.block)
-    payload = {"command": "questions", "dist": dist, "block": args.block,
-               "rate": rate, "entropy_bits": entropy}
-    lines = [
-        f"questions per symbol on blocks of {args.block} = {rate:.6f}",
-        f"entropy = {entropy:.6f} bits (window [H, H + 1/{args.block}))",
-    ]
-    return payload, lines, 0
+    if args.block != 1:
+        return [{"dist": dist, "block": args.block},
+                ("rate", coding.block_question_rate(dist, args.block),
+                 f"questions per symbol on blocks of {args.block} = {{:.6f}}"),
+                ("entropy_bits", entropy,
+                 f"entropy = {{:.6f}} bits (window [H, H + 1/{args.block}))")]
+    code = coding.question_strategy(dist)
+    return [{"dist": dist, "block": 1, "lengths": list(code.lengths),
+             "codewords": list(code.codewords)},
+            *(f"symbol {i}: p = {p:.6f}, {length} questions, answers {word or '(none)'}"
+              for i, (p, length, word) in enumerate(zip(dist, code.lengths, code.codewords))),
+            ("average_length", code.average_length, "average questions = {:.6f}"),
+            ("entropy_bits", entropy, "entropy = {:.6f} bits (window [H, H+1))"),
+            ("kraft_sum", sum(2.0 ** -length for length in code.lengths), "Kraft sum = {:.6f}")]
 
 
 def _cmd_majorize(args):
     p = _cli_distribution(args.p, "p")
     q = _cli_distribution(args.q, "q")
-    forward = probability.majorizes(p, q)
-    backward = probability.majorizes(q, p)
-    payload = {"command": "majorize", "p": p, "q": q,
-               "p_majorizes_q": forward, "q_majorizes_p": backward}
-    return payload, [
-        f"p majorizes q: {forward}",
-        f"q majorizes p: {backward}",
-    ], 0
+    return [{"p": p, "q": q},
+            ("p_majorizes_q", probability.majorizes(p, q), "p majorizes q: {}"),
+            ("q_majorizes_p", probability.majorizes(q, p), "q majorizes p: {}")]
 
 
 def _cmd_entangle(args):
@@ -410,34 +368,29 @@ def _cmd_entangle(args):
         rho = entangle.joint_eigenstate(observables[0], observables[1], answers)
         source = {"obs": labels, "answers": answers}
     else:
-        rho = quantum.as_density(load_state(args.state))
+        rho = _resolve_state(args)
         if rho.shape != (4, 4):
             raise ValidationError("entangle expects a two-qubit (4x4) state")
         source = {"state_file": args.state}
     split = entangle.info_split(rho)
-    payload = {"command": "entangle", **source, "state": state_to_json(rho),
-               "individual": split.individual, "correlation": split.correlation,
-               "individual_terms": [[label, value] for label, value in split.individual_terms],
-               "correlation_terms": [[label, value] for label, value in split.correlation_terms]}
-    lines = [f"{label}: I = {value:.6f}" for label, value in split.individual_terms]
-    lines += [f"{label}: I = {value:.6f}" for label, value in split.correlation_terms]
-    lines += [
-        f"individual total  = {split.individual:.6f}",
-        f"correlation total = {split.correlation:.6f}",
-    ]
-    return payload, lines, 0
+    terms = split.individual_terms + split.correlation_terms
+    # JSON puts the totals before the terms, the text after them
+    return [source, {"state": state_to_json(rho), "individual": split.individual,
+                     "correlation": split.correlation,
+                     "individual_terms": [list(t) for t in split.individual_terms],
+                     "correlation_terms": [list(t) for t in split.correlation_terms]},
+            *(f"{label}: I = {value:.6f}" for label, value in terms),
+            f"individual total  = {split.individual:.6f}",
+            f"correlation total = {split.correlation:.6f}"]
 
 
 def _cmd_selftest(args):
     results = selftest.run_all()
-    passed = all(r.passed for r in results)
-    payload = {"command": "selftest", "passed": passed,
-               "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
-                           "elapsed_s": r.elapsed_s}
-                          for r in results]}
-    lines = [selftest.format_line(r) for r in results]
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return payload, lines, 0 if passed else 1
+    return [{"passed": all(r.passed for r in results),
+             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                         "elapsed_s": r.elapsed_s} for r in results]},
+            *map(selftest.format_line, results),
+            f"{sum(r.passed for r in results)}/{len(results)} checks passed"]
 
 
 if __name__ == "__main__":

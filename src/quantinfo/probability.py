@@ -159,6 +159,11 @@ def random_distribution(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).dirichlet(np.ones(n))
 
 
+# Entries near the float maximum can sum to inf. Such an input gets its
+# ValidationError alone, with no overflow warning from either sum first. As a
+# decorator, errstate costs less per call than as a with statement or than a
+# maximum test before the sum.
+@np.errstate(over="ignore")
 def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None = None,
            axis: int | None = None) -> np.ndarray:
     """The one clamp routine behind the probability validators.
@@ -288,7 +293,8 @@ def _entropy(probs: np.ndarray):
     # different summation order moves entropies in the last bit, enough to flip the
     # qubit grid search between near-tied directions
     logs = np.log2(probs, out=np.zeros(probs.shape), where=probs > 0.0)
-    return -np.einsum("...i,...i->...", probs, logs)
+    # 0.0 - x, not -x: a deterministic distribution sums to +0.0, which -x turns into -0.0
+    return 0.0 - np.einsum("...i,...i->...", probs, logs)
 
 
 def _quadratic(probs: np.ndarray, norm: float = 1.0):

@@ -154,6 +154,11 @@ class TestHolevoBound:
         ens = cq_ensemble([0.3, 0.7], [ZERO, ZERO])
         assert holevo_chi(ens) == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_pure_letter_gives_positive_zero(self):
+        ens = cq_ensemble([1.0], [ZERO])
+        for value in (holevo_chi(ens), specification_information(ens)):
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
     def test_measured_information_never_exceeds_chi(self):
         for i in range(30):
             n = 2 + i % 2

@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import quantinfo
+import quantinfo.cli as cli_module
 from quantinfo import (
     bloch_state, cq_ensemble, ensemble_to_json, pure_state, random_ensemble, state_to_json)
 from quantinfo.cli import build_parser, run
@@ -412,6 +415,47 @@ class TestEntangleCommand:
         assert code == 2
 
 
+class TestDeterministicEntropies:
+    """A deterministic distribution has entropy +0.0, printed without a minus sign."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["entropy", "--dist", "1"], "H = 0.000000 bits"),
+        (["grouping", "--dist", "0,1"], "H = 0.000000 bits"),
+        (["questions", "--dist", "1", "--block", "5"],
+         "entropy = 0.000000 bits (window [H, H + 1/5))"),
+    ], ids=["entropy", "grouping", "questions-block"])
+    def test_no_negative_zero(self, capsys, argv, line):
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        assert line in out.splitlines()
+        code, out, _ = cli(capsys, *argv, "--json")
+        assert '"entropy_bits": 0.0' in out
+        assert np.copysign(1.0, json.loads(out)["entropy_bits"]) == 1.0
+
+
+class TestHandlerHooks:
+    """Each subcommand runs a module-level _cmd_* function, looked up when the parser is built."""
+
+    def test_every_handler_is_a_module_attribute(self):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        for command, subparser in action.choices.items():
+            handler = subparser.get_default("handler")
+            assert handler.__name__.startswith("_cmd_"), command
+            assert getattr(cli_module, handler.__name__) is handler, command
+
+    def test_run_calls_a_patched_handler(self, capsys, monkeypatch):
+        calls = []
+        original = cli_module._cmd_entropy
+
+        def recording(args):
+            calls.append(args.dist)
+            return original(args)
+        monkeypatch.setattr(cli_module, "_cmd_entropy", recording)
+        code, out, _ = cli(capsys, "entropy", "--dist", "0.5,0.5")
+        assert (code, out, calls) == (0, "H = 1.000000 bits\n", ["0.5,0.5"])
+
+
 class TestSelftestCommand:
     def test_all_checks_pass(self, capsys):
         code, out, _ = cli(capsys, "selftest")
@@ -428,3 +472,58 @@ class TestSelftestCommand:
         assert payload["passed"] is True
         assert len(payload["checks"]) >= 11
         assert all(check["elapsed_s"] >= 0.0 for check in payload["checks"])
+
+    def test_a_failed_check_exits_one(self, capsys, monkeypatch):
+        failed = quantinfo.selftest.CheckResult("broken", False, "detail", 0.0)
+        monkeypatch.setattr(quantinfo.selftest, "run_all", lambda: [failed])
+        code, out, _ = cli(capsys, "selftest")
+        assert (code, out) == (1, "FAIL  broken: detail\n0/1 checks passed\n")
+        code, payload, _ = cli_json(capsys, "selftest")
+        assert (code, payload["passed"]) == (1, False)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+E_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?e[-+]\d+")
+
+
+def readme_examples(text):
+    """(argv, expected output lines) for each `$ quantinfo` line in the README's code blocks."""
+    examples = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", text, re.M | re.S):
+        current = None
+        for line in block.splitlines():
+            if line.startswith("$ quantinfo "):
+                current = []
+                examples.append((shlex.split(line)[2:], current))
+            elif current is not None:
+                current.append(line)
+    return examples
+
+
+def without_noise(line):
+    # an e-notation number below 1e-12 is rounding noise: any two such values match
+    return E_NUMBER.sub(lambda m: "~0" if abs(float(m.group())) < 1e-12 else m.group(), line)
+
+
+def lines_match(expected, actual):
+    """Line-by-line comparison in which an expected '...' line skips any number of lines."""
+    if not expected:
+        return not actual
+    if expected[0] == "...":
+        return any(lines_match(expected[1:], actual[i:]) for i in range(len(actual) + 1))
+    return (bool(actual) and without_noise(expected[0]) == without_noise(actual[0])
+            and lines_match(expected[1:], actual[1:]))
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    ensemble = next(block for block in re.findall(r"^```json\n(.*?)^```", text, re.M | re.S)
+                    if '"letters"' in block)
+    (tmp_path / "zero_plus.json").write_text(ensemble)
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples(text)
+    assert len(examples) == 16
+    for argv, expected in examples:
+        code, out, err = cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert lines_match(expected, out.splitlines()), (argv, out)

@@ -83,6 +83,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             as_distribution([0.5, np.nan])
 
+    @pytest.mark.parametrize("validate, values, message", [
+        (as_distribution, [1e308, 1e308], "probability vector sums to inf, not 1"),
+        (as_joint_distribution, [[np.inf, 0.59, 1e308, 1e308], [0.25] * 4],
+         "joint probability table entries must be finite"),
+    ], ids=["sum-overflows", "inf-beside-huge-entries"])
+    def test_huge_entries_rejected_without_warning(self, validate, values, message):
+        assert outcome(validate, values) == ((ValidationError, message), set())
+
 
 class TestValidationMemo:
     """Each distinct input is checked once; the memo must never change a verdict."""
@@ -172,7 +180,8 @@ def reference_clamp(values, ndim, what, entry_tol, sum_tol=None, axis=None):
     arr[arr < 0.0] = 0.0
     if sum_tol is None:
         return arr
-    totals = arr.sum(axis=axis, keepdims=True)
+    with np.errstate(over="ignore"):  # a total past the float maximum is rejected, not warned about
+        totals = arr.sum(axis=axis, keepdims=True)
     drift = abs(totals - 1.0)
     if np.count_nonzero(drift >= sum_tol):
         raise ValidationError(f"{what} sums to {float(totals.flat[drift.argmax()])!r}, not 1")
@@ -182,7 +191,7 @@ def reference_clamp(values, ndim, what, entry_tol, sum_tol=None, axis=None):
 def reference_entropy(probs):
     """_entropy as an einsum over a zeros_like log buffer, as it was computed before."""
     logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    return -np.einsum("...i,...i->...", probs, logs)
+    return 0.0 - np.einsum("...i,...i->...", probs, logs)
 
 
 def outcome(fn, *args):
@@ -323,6 +332,15 @@ class TestShannonEntropy:
 
     def test_deterministic_is_zero(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("entropy, deterministic", [
+        (shannon_entropy, [1.0, 0.0]),
+        (shannon_entropy, [1.0]),
+        (mutual_information, [[1.0, 0.0], [0.0, 0.0]]),
+    ], ids=["shannon-two", "shannon-one", "mutual"])
+    def test_deterministic_zero_is_positive(self, entropy, deterministic):
+        value = entropy(deterministic)
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
 
     def test_invariant_under_permutation(self):
         rng = np.random.default_rng(7)

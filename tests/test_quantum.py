@@ -351,6 +351,10 @@ class TestSpectrumAndEntropy:
         for n in (2, 3, 5, 7):
             assert von_neumann_entropy(random_density(n, seed=n, rank=1)) < 1e-9
 
+    def test_basis_state_entropy_is_positive_zero(self):
+        value = von_neumann_entropy(pure_state([1, 0]))
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
     def test_maximally_mixed(self):
         for n in (2, 3, 4):
             rho = np.eye(n) / n
