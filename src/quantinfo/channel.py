@@ -17,6 +17,7 @@ from .probability import (
     _clamp,
     _conditional_entropy,
     _entropy,
+    _is_int,
     _mutual_information,
     as_distribution,
 )
@@ -135,7 +136,7 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
     x HILL_CLIMB_STEPS) and report a lower bound. POVMs are excluded by
     design; the search covers projective measurements only.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_is_int(seed) and seed >= 0):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     if ensemble.dim == 2:
         direction = _best_qubit_direction(ensemble)

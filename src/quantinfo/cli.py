@@ -339,11 +339,13 @@ def _cmd_questions(args):
     code = coding.question_strategy(dist)
     return [{"dist": dist, "block": 1, "lengths": list(code.lengths),
              "codewords": list(code.codewords)},
-            *(f"symbol {i}: p = {p:.6f}, {length} questions, answers {word or '(none)'}"
+            *(f"symbol {i}: p = {p:.6f}, never asked" if word is None else
+              f"symbol {i}: p = {p:.6f}, {length} questions, answers {word or '(none)'}"
               for i, (p, length, word) in enumerate(zip(dist, code.lengths, code.codewords))),
             ("average_length", code.average_length, "average questions = {:.6f}"),
             ("entropy_bits", entropy, "entropy = {:.6f} bits (window [H, H+1))"),
-            ("kraft_sum", sum(2.0 ** -length for length in code.lengths), "Kraft sum = {:.6f}")]
+            ("kraft_sum", sum(2.0 ** -len(word) for word in code.codewords if word is not None),
+             "Kraft sum = {:.6f}")]
 
 
 def _cmd_majorize(args):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _entropy, as_distribution
+from .probability import _entropy, _is_int, as_distribution
 
 # Type classes, not sequences. The slowest block rate at the cap (6 symbols,
 # k = 17, 26,334 classes) takes about 0.6 s on a 2-vCPU Xeon VM; 2^16 would
@@ -36,18 +36,16 @@ class TypicalSetReport:
 
 @dataclass(frozen=True)
 class PrefixCode:
-    """Binary prefix code, one codeword per source symbol.
+    """Binary prefix code, one codeword per source symbol that can occur.
 
-    Lengths satisfy the Kraft inequality. A single-symbol source gets the
-    empty codeword (no questions needed). The Shannon window
-    H(p) <= average_length < H(p) + 1 holds whenever at least two symbols
-    carry probability; a lone positive symbol padded with explicit
-    zero-probability symbols forces average_length = 1 > H + epsilon, since
-    every symbol must still receive a codeword.
+    A zero-probability symbol is never asked about: its length is 0 and its
+    codeword None. The other lengths satisfy the Kraft inequality, and a
+    single possible symbol gets the empty codeword (no questions needed), so
+    H(p) <= average_length < H(p) + 1 holds for every source.
     """
 
     lengths: tuple[int, ...]
-    codewords: tuple[str, ...]
+    codewords: tuple[str | None, ...]
     average_length: float
 
 
@@ -56,11 +54,12 @@ def typical_set(p, block_length: int, epsilon: float) -> TypicalSetReport:
 
     A sequence x is typical when |(-1/N) log2 P(x) - H(p)| <= epsilon.
     Sequences containing a zero-probability letter have infinite per-letter
-    surprise and are never typical. The census runs over letter-count type
-    classes, so it is exact for every block length with at most
-    ENUMERATION_CAP classes (and n^N <= 2^53).
+    surprise and are never typical, so such letters are dropped first. The
+    census runs over letter-count type classes of the other letters, so it is
+    exact for every block length with at most ENUMERATION_CAP classes (and
+    n^N <= 2^53).
     """
-    probs = as_distribution(p)
+    probs = _possible(p)
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValidationError("epsilon must be positive")
     classes = _type_classes(probs, block_length)
@@ -81,15 +80,14 @@ def question_strategy(p) -> PrefixCode:
     Ties are broken deterministically: the two lowest-weight nodes merge,
     equal weights resolved by lowest original symbol index first and then by
     order of creation, so repeated runs give identical trees. Zero-probability
-    symbols still receive codewords and end up deepest in the tree.
+    symbols are left out of the tree: they get length 0 and codeword None.
     """
-    probs = as_distribution(p)
-    n = probs.size
-    if n == 1:
-        return PrefixCode((0,), ("",), 0.0)
+    dist = as_distribution(p)
+    asked = np.flatnonzero(dist).tolist()
+    n = len(asked)
     # heap entries are (weight, tie order, node id); leaves get order 0..n-1,
     # merged nodes continue upward from n
-    heap = [(float(w), i, i) for i, w in enumerate(probs)]
+    heap = [(w, k, k) for k, w in enumerate(dist[asked].tolist())]
     heapq.heapify(heap)
     children: dict[int, tuple[int, int]] = {}
     next_id = n
@@ -99,34 +97,43 @@ def question_strategy(p) -> PrefixCode:
         children[next_id] = (a, b)
         heapq.heappush(heap, (w1 + w2, next_id, next_id))
         next_id += 1
-    root = heap[0][2]
-    lengths = [0] * n
-    stack = [(root, 0)]
+    depths = [0] * n
+    stack = [(heap[0][2], 0)]
     while stack:
         node, depth = stack.pop()
         if node < n:
-            lengths[node] = depth
+            depths[node] = depth
         else:
             a, b = children[node]
             stack.append((a, depth + 1))
             stack.append((b, depth + 1))
-    average = float(np.dot(probs, lengths))
-    return PrefixCode(tuple(lengths), _canonical_codewords(lengths), average)
+    lengths = [0] * dist.size
+    codewords: list[str | None] = [None] * dist.size
+    for i, depth, word in zip(asked, depths, _canonical_codewords(depths)):
+        lengths[i], codewords[i] = depth, word
+    return PrefixCode(tuple(lengths), tuple(codewords), float(np.dot(dist[asked], depths)))
 
 
 def block_question_rate(p, block_length: int) -> float:
     """Questions per symbol of the optimal strategy on block_length-fold blocks.
 
     Equals the Huffman average length of the product source divided by the
-    block length, so it lies in [H(p), H(p) + 1/block_length) for sources
-    with at least two supported symbols. The product source has one weight
-    per type class, so the tree is built over (weight, multiplicity) runs
-    and at most ENUMERATION_CAP classes are accepted.
+    block length, so it lies in [H(p), H(p) + 1/block_length). Zero-probability
+    letters are dropped first: a block holding one never occurs, so it is
+    never asked about. The product source has one weight per type class, so
+    the tree is built over (weight, multiplicity) runs and at most
+    ENUMERATION_CAP classes are accepted.
     """
-    probs = as_distribution(p)
+    probs = _possible(p)
     runs = sorted((2.0 ** log_weight, multiplicity)
                   for log_weight, multiplicity in _type_classes(probs, block_length))
     return _run_length_huffman(runs) / block_length
+
+
+def _possible(p) -> np.ndarray:
+    """The validated distribution without its zero-probability letters."""
+    probs = as_distribution(p)
+    return probs[probs > 0.0]
 
 
 def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int]]:
@@ -135,14 +142,14 @@ def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int
     A type class holds the sequences with one tuple of letter counts; they
     share the weight prod p_i^c_i, and there are block_length! / prod c_i!
     of them. Classes come in lexicographic order of the counts. The log
-    weight sums c_i log2 p_i over the letters in order and is -inf when a
-    zero-probability letter occurs. Rejects block lengths below 1, more
+    weight sums c_i log2 p_i over the letters in order, which must all be
+    positive. Rejects block lengths that are not integers of at least 1, more
     than 2^53 sequences (multiplicities stay exact as floats) and more than
     ENUMERATION_CAP classes.
     """
     n = probs.size
-    if block_length < 1:
-        raise ValidationError("block length must be >= 1")
+    if not (_is_int(block_length) and block_length >= 1):
+        raise ValidationError(f"block length must be an integer >= 1, got {block_length!r}")
     # k first: two letters pass 2^53 past k = 53, and the exact integer n^k costs time growing with k
     if n > 1 and block_length > 53 or n ** block_length > 2 ** 53:
         raise ValidationError(f"{n}^{block_length} sequences exceed 2^53")
@@ -150,7 +157,7 @@ def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int
     if classes > ENUMERATION_CAP:
         raise ValidationError(f"{classes} type classes of {n}^{block_length} sequences "
                               f"exceed the enumeration cap {ENUMERATION_CAP}")
-    logs = [math.log2(x) if x > 0.0 else -math.inf for x in probs.tolist()]
+    logs = [math.log2(x) for x in probs.tolist()]
     # one letter at a time: (log2 weight so far, multiplicity so far, letters
     # left); a class whose letters are all placed is finished, since every
     # later letter counts 0

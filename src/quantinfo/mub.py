@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import ENTRY_TOL, SUM_TOL, _as_array, _clamp, _memo, _quadratic
+from .probability import ENTRY_TOL, SUM_TOL, _as_array, _clamp, _is_int, _memo, _quadratic
 from .quantum import HERMITIAN_TOL, _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
 UNBIASED_TOL = 1e-9
@@ -42,15 +42,15 @@ def build_mubs(n: int) -> list[np.ndarray]:
     are sets the hyperplane check would reject as too large (n > 43), before
     they are built. Every vector's first nonzero component is real positive.
     """
+    if not _is_int(n) or n != 2 and not _is_odd_prime(n):
+        raise ValidationError(
+            f"complete MUB sets are constructed only for n = 2 and odd primes, got {n!r}")
     if n == 2:
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         z = np.eye(2, dtype=complex)
         x = np.array([[1, 1], [1, -1]], dtype=complex) * inv_sqrt2
         y = np.array([[1, 1], [1j, -1j]], dtype=complex) * inv_sqrt2
         return [z, x, y]
-    if n < 2 or not _is_odd_prime(n):
-        raise ValidationError(
-            f"complete MUB sets are constructed only for n = 2 and odd primes, got {n}")
     _check_hyperplane_size(n + 1, n)
     bases = [np.eye(n, dtype=complex)]
     l = np.arange(n)

@@ -5,8 +5,7 @@ All entropies are in bits (log base 2), and 0*log(0) is taken as 0 throughout.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 
 import numpy as np
 
@@ -15,8 +14,8 @@ from .errors import ValidationError
 ENTRY_TOL = 1e-12  # negative entries no worse than this are clamped to zero
 SUM_TOL = 1e-9     # vectors whose sum deviates from 1 by this much are rejected
 
-_MEMO_BYTES = 2 ** 20        # keys plus values the validator memo may hold
-_MEMO_ENTRY_BYTES = 640      # allowance for the Python objects around one entry
+_MEMO_ENTRIES = 64           # passed checks the validator memo keeps
+_MEMO_MAX_BYTES = 8 * 1024   # larger arrays (a complete MUB set past n = 7) are never stored
 
 
 def as_distribution(p) -> np.ndarray:
@@ -45,8 +44,8 @@ def surprise(p, outcome: int) -> float:
     A zero-probability outcome has no defined surprise and is rejected.
     """
     probs = as_distribution(p)
-    if not 0 <= outcome < probs.size:
-        raise ValidationError(f"outcome index {outcome} out of range for {probs.size} outcomes")
+    if not (_is_int(outcome) and 0 <= outcome < probs.size):
+        raise ValidationError(f"outcome index must be an integer in [0, {probs.size}), got {outcome!r}")
     if probs[outcome] == 0.0:
         raise ValidationError("surprise of a zero-probability outcome is undefined")
     return float(-np.log2(probs[outcome]))
@@ -219,8 +218,8 @@ def _clamp_entries(arr: np.ndarray, what: str, entry_tol: float, sum_tol: float 
     return arr / totals
 
 
-class _Memo:
-    """Results of passed checks, keyed by the exact content of the checked array.
+def _memo(check, arr: np.ndarray, *args):
+    """check(arr, *args), run once per distinct input that passes it.
 
     It serves the matrix checks and the complete-MUB-set check, whose
     eigvalsh and overlap scans cost more than a miss. A distribution check
@@ -228,51 +227,26 @@ class _Memo:
 
     The key holds the array's raw bytes (not a digest, so no collision can
     hand one input another's verdict), its dtype and shape, the check and the
-    check's other arguments. A rejected input stores nothing, so it is
-    checked, and raises, again on every call. Stored values are read-only
-    and a hit returns a copy. An entry costs its key's bytes, its value's
-    bytes (none when the check returned its input: the value is then a view
-    of the key's bytes) and _MEMO_ENTRY_BYTES. Past the budget the least
-    recently used entries are evicted; an entry larger than the budget is
-    checked but not stored.
+    check's other arguments. lru_cache stores no exception, so a rejected
+    input is checked, and raises, again on every call. The cache keeps the
+    _MEMO_ENTRIES most recently used results; an array above _MEMO_MAX_BYTES
+    is checked on every call and never stored. Every call returns a copy.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.size = 0
-        self._entries: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, check, arr: np.ndarray, *args):
-        if arr.nbytes + _MEMO_ENTRY_BYTES > self.budget:
-            return check(arr, *args)
-        raw = arr.tobytes()
-        key = (check, arr.dtype, arr.shape, args, raw)
-        entry = self._entries.get(key)  # single dict operations are atomic; the lock guards size
-        if entry is not None:
-            try:
-                self._entries.move_to_end(key)
-            except KeyError:  # another thread evicted it after the lookup
-                pass
-            return entry[0].copy()
-        result = check(arr, *args)
-        if result is arr:
-            value = np.frombuffer(raw, arr.dtype).reshape(arr.shape)
-            size = len(raw) + _MEMO_ENTRY_BYTES
-        else:
-            value = result.copy()
-            value.flags.writeable = False
-            size = len(raw) + value.nbytes + _MEMO_ENTRY_BYTES
-        if size <= self.budget:
-            with self._lock:
-                if self._entries.setdefault(key, (value, size))[0] is value:
-                    self.size += size
-                while self.size > self.budget:
-                    self.size -= self._entries.popitem(last=False)[1][1]
-        return result
+    if arr.nbytes > _MEMO_MAX_BYTES:
+        return check(arr, *args).copy()
+    return _checked(check, arr.dtype, arr.shape, args, arr.tobytes()).copy()
 
 
-_memo = _Memo(_MEMO_BYTES)
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _checked(check, dtype, shape, args, raw):
+    result = check(np.frombuffer(raw, dtype).reshape(shape), *args)
+    result.flags.writeable = False
+    return result
+
+
+def _is_int(value) -> bool:
+    """True for an int or a numpy integer; a bool, a float or anything else is not a size or index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:

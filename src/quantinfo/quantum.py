@@ -47,10 +47,10 @@ def as_basis(matrix) -> np.ndarray:
 
 
 def pure_state(vector) -> np.ndarray:
-    """Density operator of a normalized state vector."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    if v.size == 0 or not np.all(np.isfinite(v)):
-        raise ValidationError("expected a nonempty finite state vector")
+    """Density operator of a normalized state vector; a matrix is rejected, not flattened."""
+    v = _as_array(vector, complex, "state vector")
+    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+        raise ValidationError("expected a nonempty finite 1-d state vector")
     norm = float(np.linalg.norm(v))
     if norm <= 0.0:
         raise ValidationError("state vector has zero norm")

@@ -243,7 +243,7 @@ class TestAccessibleInformation:
     @pytest.mark.parametrize("n", [2, 3])
     def test_negative_seed_rejected_in_every_dimension(self, n):
         ens = random_ensemble(n, 2, seed=1)
-        for seed in (-1, None, 1.5):
+        for seed in (-1, None, 1.5, True):
             with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
                 accessible_information(ens, seed=seed)
 

@@ -360,6 +360,19 @@ class TestCodingCommands:
         assert payload["kraft_sum"] == pytest.approx(1.0, abs=1e-12)
         assert sorted(payload["codewords"], key=len) == ["0", "10", "11"]
 
+    def test_questions_skip_impossible_symbols(self, capsys):
+        code, payload, _ = cli_json(capsys, "questions", "--dist", "0.5,0.5,0")
+        assert code == 0
+        assert payload["lengths"] == [1, 1, 0]
+        assert payload["codewords"] == ["0", "1", None]
+        assert (payload["average_length"], payload["kraft_sum"]) == (1.0, 1.0)
+        code, out, _ = cli(capsys, "questions", "--dist", "0,1")
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "symbol 0: p = 0.000000, never asked",
+            "symbol 1: p = 1.000000, 0 questions, answers (none)",
+            "average questions = 0.000000"]
+
     def test_questions_block_rate(self, capsys):
         code, payload, _ = cli_json(
             capsys, "questions", "--dist", "0.9,0.1", "--block", "2")
@@ -522,7 +535,7 @@ def test_readme_examples(capsys, tmp_path, monkeypatch):
     (tmp_path / "zero_plus.json").write_text(ensemble)
     monkeypatch.chdir(tmp_path)
     examples = readme_examples(text)
-    assert len(examples) == 16
+    assert len(examples) == 17
     for argv, expected in examples:
         code, out, err = cli(capsys, *argv)
         assert (code, err) == (0, ""), argv

@@ -127,8 +127,9 @@ class TestTypicalSet:
         assert typical_set([1.0], 10 ** 9, 0.1).count == 1
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValidationError):
-            typical_set([0.5, 0.5], 0, 0.1)
+        for block in (0, 2.5, 2.0, True):
+            with pytest.raises(ValidationError, match="block length must be an integer"):
+                typical_set([0.5, 0.5], block, 0.1)
         with pytest.raises(ValidationError):
             typical_set([0.5, 0.5], 5, 0.0)
 
@@ -185,9 +186,16 @@ class TestQuestionStrategy:
         assert code.codewords == ("",)
         assert code.average_length == 0.0
 
-    def test_zero_probability_symbol_sits_deepest(self):
+    def test_zero_probability_symbol_is_never_asked(self):
         code = question_strategy([0.5, 0.5, 0.0])
-        assert code.lengths[2] == max(code.lengths)
+        assert code.lengths == (1, 1, 0)
+        assert code.codewords == ("0", "1", None)
+        assert code.average_length == 1.0
+        # one possible outcome needs no question, on the closed end of [H, H + 1)
+        code = question_strategy([0.0, 1.0])
+        assert code.codewords == (None, "")
+        assert code.average_length == 0.0
+        assert block_question_rate([0.5, 0.5, 0.0], 8) == 1.0
 
     def test_codewords_are_prefix_free(self):
         for i in range(20):
@@ -306,5 +314,28 @@ class TestBlockQuestionRate:
             reference_block_rate(p, k), abs=1e-12)
 
     def test_bad_block_rejected(self):
-        with pytest.raises(ValidationError):
-            block_question_rate([0.5, 0.5], 0)
+        for block in (0, 2.5, 2.0, True):
+            with pytest.raises(ValidationError, match="block length must be an integer"):
+                block_question_rate([0.5, 0.5], block)
+
+
+class TestZeroProbabilityLetters:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=0, max_size=4),
+           st.lists(st.integers(0, 6), min_size=1, max_size=3),
+           st.integers(1, 6),
+           st.sampled_from([0.05, 0.2, 0.5]))
+    def test_property_zeros_change_nothing(self, counts, slots, k, epsilon):
+        # counts over 64 make every sum exact, so renormalizing leaves the letters as they are
+        p = [c / 64 for c in counts] + [1.0 - sum(counts) / 64]
+        padded = list(p)
+        for slot in slots:
+            padded.insert(slot % (len(padded) + 1), 0.0)
+        code, padded_code = question_strategy(p), question_strategy(padded)
+        assert padded_code.average_length == code.average_length
+        asked = [i for i, x in enumerate(padded) if x > 0.0]
+        assert [padded_code.codewords[i] for i in asked] == list(code.codewords)
+        assert all(padded_code.codewords[i] is None and padded_code.lengths[i] == 0
+                   for i in range(len(padded)) if i not in asked)
+        assert block_question_rate(padded, k) == block_question_rate(p, k)
+        assert typical_set(padded, k, epsilon) == typical_set(p, k, epsilon)

@@ -24,7 +24,7 @@ from quantinfo import (
     verify_unbiased,
 )
 from quantinfo import mub
-from quantinfo.probability import _MEMO_BYTES, _memo
+from quantinfo.probability import _checked
 
 
 def reference_hyperplane(bases):
@@ -85,7 +85,7 @@ class TestConstruction:
             assert u.shape == (n, n)
             assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 15])
+    @pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 15, 2.0, 3.0, True])
     def test_unsupported_dimensions_rejected(self, n):
         with pytest.raises(ValidationError):
             build_mubs(n)
@@ -311,19 +311,30 @@ class TestInformationSum:
         with pytest.raises(ValidationError, match="not mutually unbiased"):
             information_sum(rho, fake)
 
-    def test_memo_stays_under_its_byte_budget(self):
-        # 40 fresh rotated complete sets at n = 31, about 0.5 MB each
+    def test_memo_stays_under_its_byte_budget(self, monkeypatch):
+        # a complete set at n = 31 (0.5 MB) is past the per-entry cap, and so is
+        # the state: each call checks them again and stores nothing
+        calls = []
+        check = mub._check_complete_set
+
+        def counted(arr):
+            calls.append(arr.shape)
+            return check(arr)
+
+        monkeypatch.setattr(mub, "_check_complete_set", counted)
         n = 31
         bases = build_mubs(n)
-        for i in range(40):
+        before = _checked.cache_info()
+        for i in range(3):
             u = random_basis(n, seed=320 + i)
             rotated = [u @ b for b in bases]
             rho = random_density(n, seed=360 + i)
-            assert information_sum(rho, rotated) == pytest.approx(
-                total_information(rho), abs=1e-9)
-            assert _memo.size == sum(size for _, size in _memo._entries.values())
-            assert _memo.size <= _MEMO_BYTES
-        assert _memo.size > _MEMO_BYTES // 2  # sets this size are stored, then evicted
+            for _ in range(2):
+                assert information_sum(rho, rotated) == pytest.approx(
+                    total_information(rho), abs=1e-9)
+        assert calls == [(n + 1, n, n)] * 6
+        after = _checked.cache_info()
+        assert after.misses == before.misses and after.currsize <= after.maxsize
         rotated[2] = rotated[1][:, ::-1]
         with pytest.raises(ValidationError, match="not mutually unbiased"):
             information_sum(rho, rotated)

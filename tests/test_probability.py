@@ -33,7 +33,7 @@ from quantinfo.probability import (
     _conditional_entropy,
     _entropy,
     _as_array,
-    _Memo,
+    _checked,
     _memo,
     _mutual_information,
 )
@@ -104,13 +104,14 @@ class TestValidationMemo:
 
     def test_distribution_checks_bypass_the_memo(self):
         # a distribution check costs less than a memo miss, so none is stored or looked up
-        keys, size = list(_memo._entries), _memo.size
+        before = _checked.cache_info()
         for i in range(100):
             p = random_distribution(2 + i % 5, seed=1300 + i)
             as_distribution(p)
             as_joint_distribution(np.outer(p, p))
             as_doubly_stochastic(random_doubly_stochastic(2 + i % 5, seed=1400 + i))
-        assert list(_memo._entries) == keys and _memo.size == size
+        after = _checked.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_writing_to_a_result_changes_no_later_result(self):
         p = np.array([0.25, 0.75 + 1e-10])
@@ -123,8 +124,8 @@ class TestValidationMemo:
             np.testing.assert_array_equal(later, results[0])
 
     def test_threads_share_one_memo(self):
-        # a small budget keeps eviction running while eight threads hit and miss
-        memo = _Memo(64 * 1024)
+        # more distinct inputs than the memo keeps, so eviction runs while eight
+        # threads hit and miss the module memo through a cheap check
         pool = [random_distribution(2 + i % 7, seed=1200 + i) for i in range(300)]
         args = (1, "probability vector", ENTRY_TOL, SUM_TOL)
         expected = [_clamp(p, *args) for p in pool]
@@ -132,7 +133,8 @@ class TestValidationMemo:
 
         def worker(seed):
             for k in np.random.default_rng(seed).integers(0, len(pool), 1500):
-                if not np.array_equal(memo(_clamp, pool[k], *args), expected[k]):
+                result = _memo(_clamp, pool[k], *args)
+                if not (result.flags.writeable and np.array_equal(result, expected[k])):
                     wrong.append(int(k))
 
         interval = sys.getswitchinterval()
@@ -147,8 +149,8 @@ class TestValidationMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
-        assert memo.size == sum(size for _, size in memo._entries.values())
-        assert 0 < memo.size <= memo.budget
+        info = _checked.cache_info()
+        assert info.hits > 0 and 0 < info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("site", list(CLAMP_SITES))
@@ -365,8 +367,11 @@ class TestSurprise:
             surprise([1.0, 0.0], 1)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            surprise([0.5, 0.5], 2)
+        # a float or a bool is not an index, even where it would pick an entry
+        for outcome in (2, -1, 1.5, True, np.float64(1.0)):
+            with pytest.raises(ValidationError, match="outcome index must be an integer"):
+                surprise([0.5, 0.5], outcome)
+        assert surprise([0.5, 0.5], np.int64(1)) == 1.0
 
     def test_entropy_is_average_surprise(self):
         p = random_distribution(6, seed=42)

@@ -33,7 +33,7 @@ from quantinfo import (
     total_information,
     von_neumann_entropy,
 )
-from quantinfo.probability import _memo
+from quantinfo.probability import _checked
 from quantinfo.quantum import EIGENVALUE_TOL, HERMITIAN_TOL, TRACE_TOL, _check_matrices
 from test_probability import assert_same_outcome, outcome
 
@@ -60,6 +60,13 @@ class TestValidation:
 
     def test_density_accepts_eigenvalue_noise(self):
         as_density(np.diag([1.0 + 5e-10, -5e-10]))
+
+    @pytest.mark.parametrize("vector", [
+        [[1, 0], [0, 1]], [[1, 0]], 1.0, [], [1, np.nan], [[1, 0], [1]]],
+        ids=["matrix", "row", "scalar", "empty", "nan", "ragged"])
+    def test_pure_state_takes_only_a_vector(self, vector):
+        with pytest.raises(ValidationError):
+            pure_state(vector)
 
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(ValidationError):
@@ -132,21 +139,22 @@ class TestValidationMemo:
 
     def test_entry_larger_than_the_budget_is_checked_not_stored(self):
         as_density(random_density(2, seed=74))
-        newest, size = next(reversed(_memo._entries)), _memo.size
-        # n = 200: key and value together pass the budget; n = 300: the key alone
-        for n in (200, 300):
+        before = _checked.cache_info()
+        # an n x n state takes 16 n^2 bytes, past the per-entry cap from n = 23
+        for n in (32, 200, 300):
             assert as_density(np.eye(n) / n)[0, 0] == pytest.approx(1.0 / n, abs=1e-18)
             with pytest.raises(ValidationError):
                 as_density(np.eye(n))
-        assert next(reversed(_memo._entries)) is newest and _memo.size == size
+        after = _checked.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
     @pytest.mark.parametrize("check, make", [
         (as_density, lambda: random_density(3, seed=72)),
         (as_basis, lambda: random_basis(3, seed=73)),
     ])
     def test_writing_to_a_result_changes_no_later_result(self, check, make):
-        # the first result is the one the check computed (for a basis, the
-        # caller's own array); the later ones are memo hits
+        # the first call is a miss and the later ones are hits; each returns
+        # its own copy of the stored result
         results = []
         for _ in range(3):
             out = check(make())
@@ -154,6 +162,30 @@ class TestValidationMemo:
             out[:] = 0.0
         for later in results[1:]:
             np.testing.assert_array_equal(later, results[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_memo_keeps_every_verdict(self, data):
+        # valid, on a tolerance edge or invalid: called twice, a validator returns
+        # what its check returns on a copy, or raises the check's message
+        validate, kind = data.draw(st.sampled_from(
+            [(as_density, "density"), (as_basis, "basis"), (as_hermitian, "hermitian")]))
+        n = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        arr = (random_basis if kind == "basis" else random_density)(n, seed=seed)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        tol = data.draw(st.sampled_from([HERMITIAN_TOL, TRACE_TOL, EIGENVALUE_TOL]))
+        arr[i, j] += data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6])) * tol
+        want = outcome(_check_matrices, arr.copy(), 2, kind, HERMITIAN_TOL)[0]
+        results = [outcome(validate, arr)[0] for _ in range(2)]
+        for got in results:
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+                assert got.flags.writeable and not np.shares_memory(got, arr)
+        if not isinstance(want, tuple):
+            assert not np.shares_memory(*results)
 
 
 def reference_check_matrices(arr, ndim, kind, tol):
