@@ -130,6 +130,7 @@ class TestValidationMemo:
         args = (1, "probability vector", ENTRY_TOL, SUM_TOL)
         expected = [_clamp(p, *args) for p in pool]
         wrong = []
+        before = _checked.cache_info()
 
         def worker(seed):
             for k in np.random.default_rng(seed).integers(0, len(pool), 1500):
@@ -149,8 +150,9 @@ class TestValidationMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
-        info = _checked.cache_info()
-        assert info.hits > 0 and 0 < info.currsize <= info.maxsize
+        after = _checked.cache_info()
+        assert after.hits > before.hits and after.misses > before.misses + after.maxsize
+        assert after.currsize == after.maxsize
 
 
 @pytest.mark.parametrize("site", list(CLAMP_SITES))
