@@ -371,8 +371,6 @@ def _cmd_entangle(args):
         source = {"obs": labels, "answers": answers}
     else:
         rho = _resolve_state(args)
-        if rho.shape != (4, 4):
-            raise ValidationError("entangle expects a two-qubit (4x4) state")
         source = {"state_file": args.state}
     split = entangle.info_split(rho)
     terms = split.individual_terms + split.correlation_terms

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _entropy, _is_int, as_distribution
+from .probability import _check_size, _entropy, as_distribution
 
 # Type classes, not sequences. The slowest block rate at the cap (6 symbols,
 # k = 17, 26,334 classes) takes about 0.6 s on a 2-vCPU Xeon VM; 2^16 would
@@ -148,8 +148,7 @@ def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int
     ENUMERATION_CAP classes.
     """
     n = probs.size
-    if not (_is_int(block_length) and block_length >= 1):
-        raise ValidationError(f"block length must be an integer >= 1, got {block_length!r}")
+    _check_size(block_length, "block length")
     # k first: two letters pass 2^53 past k = 53, and the exact integer n^k costs time growing with k
     if n > 1 and block_length > 53 or n ** block_length > 2 ** 53:
         raise ValidationError(f"{n}^{block_length} sequences exceed 2^53")

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import SUM_TOL, _clamp, _quadratic
-from .quantum import (
-    EIGENVALUE_TOL, HERMITIAN_TOL, PAULIS, _hermitian_pair, as_density, as_hermitian, pure_state)
+from .probability import _quadratic, _renormalize
+from .quantum import HERMITIAN_TOL, PAULIS, _hermitian_pair, as_density, as_hermitian, pure_state
 
 COMMUTATOR_TOL = 1e-9
 EIGENVALUE_MATCH_TOL = 1e-6
@@ -99,7 +98,7 @@ def proposition_information(rho, question) -> float:
         raise ValidationError("question and state must have equal dimensions")
     if np.max(np.abs(q @ q - q)) > HERMITIAN_TOL:
         raise ValidationError("question must be a projector")
-    return _question_information(state, q)
+    return float(_question_information(state, q))
 
 
 def individual_questions() -> tuple[tuple[str, np.ndarray], ...]:
@@ -130,11 +129,12 @@ def info_split(rho) -> InfoSplit:
     """
     state = as_density(rho)
     if state.shape != (4, 4):
-        raise ValidationError("info_split is defined for two-qubit states")
-    individual = tuple(
-        (label, _question_information(state, q)) for label, q in individual_questions())
-    correlation = tuple(
-        (label, _question_information(state, q)) for label, q in correlation_questions())
+        raise ValidationError("entangle expects a two-qubit (4x4) state")
+    asked = individual_questions()
+    questions = asked + correlation_questions()
+    values = _question_information(state, np.stack([q for _, q in questions]))
+    terms = tuple((label, float(v)) for (label, _), v in zip(questions, values))
+    individual, correlation = terms[:len(asked)], terms[len(asked):]
     return InfoSplit(
         individual=float(sum(v for _, v in individual)),
         correlation=float(sum(v for _, v in correlation)),
@@ -143,7 +143,7 @@ def info_split(rho) -> InfoSplit:
     )
 
 
-def _question_information(state: np.ndarray, question: np.ndarray) -> float:
-    """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and projector."""
-    yes = float(np.einsum("ij,ji->", state, question).real)
-    return float(_quadratic(_clamp([yes, 1.0 - yes], 1, "probability vector", EIGENVALUE_TOL, SUM_TOL)))
+def _question_information(state: np.ndarray, questions: np.ndarray):
+    """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and a projector or a stack of them."""
+    yes = np.einsum("ij,...ji->...", state, questions).real
+    return _quadratic(_renormalize(np.stack([yes, 1.0 - yes], axis=-1)))

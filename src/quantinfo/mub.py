@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import ENTRY_TOL, SUM_TOL, _as_array, _clamp, _is_int, _memo, _quadratic
+from .probability import SUM_TOL, _as_array, _clamp, _is_int, _memo, _quadratic
 from .quantum import HERMITIAN_TOL, _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
 UNBIASED_TOL = 1e-9
@@ -126,7 +126,7 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
     """
     checked = _complete_set(bases)
     n = checked.shape[1]
-    dists = _clamp(prob_lists, 2, "probability vector", ENTRY_TOL, SUM_TOL, axis=-1)
+    dists = _clamp(prob_lists, 2, "probability vector", SUM_TOL, axis=-1)
     if len(dists) != n + 1:
         raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
     if dists.shape[1] != n:

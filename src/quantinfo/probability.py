@@ -25,12 +25,12 @@ def as_distribution(p) -> np.ndarray:
     within SUM_TOL of 1 is renormalized. Anything further off is rejected
     rather than silently repaired.
     """
-    return _clamp(p, 1, "probability vector", ENTRY_TOL, SUM_TOL)
+    return _clamp(p, 1, "probability vector", SUM_TOL)
 
 
 def as_joint_distribution(table) -> np.ndarray:
     """Validate a 2-d joint probability table; same clamping rules as vectors."""
-    return _clamp(table, 2, "joint probability table", ENTRY_TOL, SUM_TOL)
+    return _clamp(table, 2, "joint probability table", SUM_TOL)
 
 
 def shannon_entropy(p) -> float:
@@ -114,7 +114,7 @@ def majorizes(p, q) -> bool:
 
 def as_doubly_stochastic(matrix) -> np.ndarray:
     """Validate a square matrix with nonnegative entries and unit row/column sums (within SUM_TOL)."""
-    arr = _clamp(matrix, 2, "matrix", ENTRY_TOL)
+    arr = _clamp(matrix, 2, "matrix")
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError("expected a nonempty square matrix")
     if np.any(np.abs(arr.sum(axis=0) - 1.0) >= SUM_TOL):
@@ -140,8 +140,7 @@ def random_doubly_stochastic(n: int, seed: int) -> np.ndarray:
     n + 1 permutation matrices enter the combination so that generic draws
     have full support.
     """
-    if n < 1:
-        raise ValidationError("matrix size must be >= 1")
+    _check_size(n, "matrix size")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n + 1))
     out = np.zeros((n, n))
@@ -153,8 +152,7 @@ def random_doubly_stochastic(n: int, seed: int) -> np.ndarray:
 
 def random_distribution(n: int, seed: int) -> np.ndarray:
     """Seeded draw from the flat Dirichlet measure on the n-simplex."""
-    if n < 1:
-        raise ValidationError("distribution size must be >= 1")
+    _check_size(n, "distribution size")
     return np.random.default_rng(seed).dirichlet(np.ones(n))
 
 
@@ -163,12 +161,12 @@ def random_distribution(n: int, seed: int) -> np.ndarray:
 # decorator, errstate costs less per call than as a with statement or than a
 # maximum test before the sum.
 @np.errstate(over="ignore")
-def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None = None,
+def _clamp(values, ndim: int, what: str, sum_tol: float | None = None,
            axis: int | None = None) -> np.ndarray:
     """The one clamp routine behind the probability validators.
 
     Rejects a ragged or wrong-shaped array, non-finite entries and entries
-    below -entry_tol, and zeroes the rest of the negatives. Given sum_tol, a
+    below -ENTRY_TOL, and zeroes the rest of the negatives. Given sum_tol, a
     total within sum_tol of 1 is renormalized and one further off is
     rejected; the total is the whole array's, or each last-axis row's for
     axis=-1.
@@ -182,7 +180,7 @@ def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"expected a nonempty {ndim}-d {what}")
     low = np.minimum.reduce(arr, axis=None)
-    if low >= -entry_tol:
+    if low >= -ENTRY_TOL:
         if low < 0.0:
             arr[arr < 0.0] = 0.0
         if sum_tol is None:
@@ -198,15 +196,14 @@ def _clamp(values, ndim: int, what: str, entry_tol: float, sum_tol: float | None
             if np.maximum.reduce(abs(totals - 1.0), axis=None) < sum_tol:
                 arr /= totals
                 return arr
-    return _clamp_entries(arr, what, entry_tol, sum_tol, axis)
+    return _clamp_entries(arr, what, sum_tol, axis)
 
 
-def _clamp_entries(arr: np.ndarray, what: str, entry_tol: float, sum_tol: float | None,
-                   axis: int | None) -> np.ndarray:
+def _clamp_entries(arr: np.ndarray, what: str, sum_tol: float | None, axis: int | None) -> np.ndarray:
     """_clamp's checks one at a time, in order, for an array its fast test did not accept."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} entries must be finite")
-    if (arr < -entry_tol).any():
+    if (arr < -ENTRY_TOL).any():
         raise ValidationError(f"negative {what} entry: min {arr.min():.3e}")
     arr[arr < 0.0] = 0.0
     if sum_tol is None:
@@ -249,6 +246,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_size(n, what: str) -> None:
+    if not (_is_int(n) and n >= 1):
+        raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
     """np.asarray, or a C-ordered copy, that rejects a ragged list such as matrices of two sizes."""
     try:
@@ -261,6 +263,17 @@ def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
 # entropies reduce over the last axis (the last two for tables) and batch over
 # any leading axes; they sum with einsum, which is several times faster than
 # ndarray.sum over a short last axis.
+
+def _renormalize(values) -> np.ndarray:
+    """A copy of values with negatives zeroed and each last-axis row rescaled to sum to 1; never raises.
+
+    Rows are summed by add.reduce, as _clamp sums them; einsum adds three or more in another order.
+    """
+    arr = np.array(values, dtype=float)
+    arr[arr < 0.0] = 0.0
+    arr /= np.add.reduce(arr, axis=-1, keepdims=True)
+    return arr
+
 
 def _entropy(probs: np.ndarray):
     # np.zeros costs less than zeros_like. einsum, not multiply and add.reduce: a

@@ -19,6 +19,9 @@ from quantinfo import (
     mutual_information,
     pure_state,
     random_basis,
+    random_density,
+    random_distribution,
+    random_doubly_stochastic,
     random_ensemble,
     random_povm,
     specification_information,
@@ -318,3 +321,20 @@ class TestRandomEnsemble:
     def test_bad_size_rejected(self):
         with pytest.raises(ValidationError):
             random_ensemble(2, 0, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_distribution(2.5, 0),
+    lambda: random_doubly_stochastic(2.0, 0),
+    lambda: random_density(2.5, 0),
+    lambda: random_density(3, 0, rank=1.5),
+    lambda: random_basis(True, 0),
+    lambda: computational_basis(2.5),
+    lambda: random_ensemble(2, 2.0, 0),
+    lambda: random_povm(2.0, 2, 0),
+    lambda: random_povm(2, True, 0),
+], ids=["distribution", "doubly-stochastic", "density-n", "density-rank", "basis",
+        "computational-basis", "ensemble-size", "povm-n", "povm-outcomes"])
+def test_generator_sizes_must_be_integers(make):
+    with pytest.raises(ValidationError, match="integer"):
+        make()

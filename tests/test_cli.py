@@ -419,8 +419,8 @@ class TestEntangleCommand:
 
         path = tmp_path / "qubit.json"
         path.write_text(json.dumps(state_to_json(np.eye(2) / 2)))
-        code, _, _ = cli(capsys, "entangle", "--state", str(path))
-        assert code == 1
+        code, out, err = cli(capsys, "entangle", "--state", str(path))
+        assert (code, out, err) == (1, "", "error: entangle expects a two-qubit (4x4) state\n")
 
     def test_obs_and_state_are_exclusive(self, capsys):
         code, _, _ = cli(capsys, "entangle", "--obs", "xx,yy",

@@ -14,6 +14,7 @@ from quantinfo import (
     pauli_product,
     proposition_information,
     pure_state,
+    random_density,
     total_information,
 )
 
@@ -168,5 +169,17 @@ class TestInfoSplit:
             "spins agree along x", "spins agree along y", "spins agree along z"}
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"two-qubit \(4x4\) state"):
             info_split(np.eye(2) / 2)
+
+    def test_terms_match_one_question_at_a_time(self):
+        # the nine questions are asked in one batched einsum; each term keeps the bits
+        # of asking its question alone
+        questions = individual_questions() + correlation_questions()
+        for seed in range(50):
+            rho = random_density(4, seed=seed, rank=1 + seed % 4)
+            split = info_split(rho)
+            terms = split.individual_terms + split.correlation_terms
+            assert terms == tuple(
+                (label, proposition_information(rho, q)) for label, q in questions)
+            assert split.individual == sum(v for _, v in terms[:6])
