@@ -215,8 +215,8 @@ def _joint(priors: np.ndarray, born: np.ndarray) -> np.ndarray:
     """Joint tables p(letter, outcome) from (..., letter, outcome) Born weights.
 
     Negative weights are zeroed and each row is rescaled to its prior; nothing is
-    rejected. Not _renormalize: einsum sums the qubit grid's rows several times
-    faster than add.reduce, and one division keeps the bits.
+    rejected. Not _renormalize: einsum sums the qubit grid's many short rows several
+    times faster than add.reduce, and scaling a row to its prior rounds only once.
     """
     weights = np.where(born < 0.0, 0.0, born)
     return priors[:, None] * weights / np.einsum("...k->...", weights)[..., None]

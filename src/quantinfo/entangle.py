@@ -130,11 +130,11 @@ def info_split(rho) -> InfoSplit:
     state = as_density(rho)
     if state.shape != (4, 4):
         raise ValidationError("entangle expects a two-qubit (4x4) state")
-    asked = individual_questions()
-    questions = asked + correlation_questions()
+    singles = individual_questions()
+    questions = singles + correlation_questions()
     values = _question_information(state, np.stack([q for _, q in questions]))
     terms = tuple((label, float(v)) for (label, _), v in zip(questions, values))
-    individual, correlation = terms[:len(asked)], terms[len(asked):]
+    individual, correlation = terms[:len(singles)], terms[len(singles):]
     return InfoSplit(
         individual=float(sum(v for _, v in individual)),
         correlation=float(sum(v for _, v in correlation)),

@@ -264,15 +264,14 @@ def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
 # any leading axes; they sum with einsum, which is several times faster than
 # ndarray.sum over a short last axis.
 
-def _renormalize(values) -> np.ndarray:
+def _renormalize(values: np.ndarray) -> np.ndarray:
     """A copy of values with negatives zeroed and each last-axis row rescaled to sum to 1; never raises.
 
-    Rows are summed by add.reduce, as _clamp sums them; einsum adds three or more in another order.
+    Rows are summed by add.reduce, as _clamp sums them: einsum adds three or more entries
+    in another order, which moves the last bit.
     """
-    arr = np.array(values, dtype=float)
-    arr[arr < 0.0] = 0.0
-    arr /= np.add.reduce(arr, axis=-1, keepdims=True)
-    return arr
+    arr = np.where(values < 0.0, 0.0, values)
+    return arr / np.add.reduce(arr, axis=-1, keepdims=True)
 
 
 def _entropy(probs: np.ndarray):
