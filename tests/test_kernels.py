@@ -105,8 +105,8 @@ def unitary(rng, n, first_column=None):
 
 # Each input sits at `reach` (at most 0.9) of its validator's window and is
 # aligned so that the drifts add up: the state's largest eigenvalue lies along
-# the vector the basis stretches, and the negative effect weight on the
-# eigenvector the state gives most weight.
+# the vector the basis stretches, and the negative part of an effect lies along
+# that same eigenvector.
 
 def edge_state(frame, reach, negatives, rng):
     """Eigenvalues 1..negatives at -reach * EIGENVALUE_TOL, the largest first, trace 1 + reach * TRACE_TOL."""
