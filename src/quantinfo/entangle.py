@@ -9,13 +9,15 @@ questions ask whether the two spins agree along a common axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .probability import _quadratic, _renormalize
-from .quantum import HERMITIAN_TOL, PAULIS, _hermitian_pair, as_density, as_hermitian, pure_state
+from .quantum import (HERMITIAN_TOL, PAULIS, _fix_column_phases, _hermitian_pair, as_density,
+                      as_hermitian, pure_state)
 
 COMMUTATOR_TOL = 1e-9
 EIGENVALUE_MATCH_TOL = 1e-6
@@ -82,9 +84,7 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     )
     if residual > COMMUTATOR_TOL:
         raise ValidationError(f"joint eigenvector residual {residual:.3e} too large")
-    lead = vector[np.flatnonzero(np.abs(vector) > 1e-12)[0]]
-    vector = vector * (lead.conjugate() / abs(lead))
-    return pure_state(vector)
+    return pure_state(_fix_column_phases(vector[:, None])[:, 0])
 
 
 def proposition_information(rho, question) -> float:
@@ -130,17 +130,24 @@ def info_split(rho) -> InfoSplit:
     state = as_density(rho)
     if state.shape != (4, 4):
         raise ValidationError("entangle expects a two-qubit (4x4) state")
-    singles = individual_questions()
-    questions = singles + correlation_questions()
-    values = _question_information(state, np.stack([q for _, q in questions]))
-    terms = tuple((label, float(v)) for (label, _), v in zip(questions, values))
-    individual, correlation = terms[:len(singles)], terms[len(singles):]
+    labels, questions = _question_stack()
+    terms = tuple(zip(labels, map(float, _question_information(state, questions))))
+    individual, correlation = terms[:6], terms[6:]  # six single-spin questions, then three joint ones
     return InfoSplit(
         individual=float(sum(v for _, v in individual)),
         correlation=float(sum(v for _, v in correlation)),
         individual_terms=individual,
         correlation_terms=correlation,
     )
+
+
+@functools.cache
+def _question_stack() -> tuple[tuple[str, ...], np.ndarray]:
+    """The nine questions' labels and a read-only (9, 4, 4) stack of their projectors, built on first use."""
+    labels, projectors = zip(*individual_questions(), *correlation_questions())
+    stack = np.stack(projectors)
+    stack.flags.writeable = False
+    return labels, stack
 
 
 def _question_information(state: np.ndarray, questions: np.ndarray):

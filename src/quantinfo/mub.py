@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import SUM_TOL, _as_array, _clamp, _is_int, _memo, _quadratic
-from .quantum import HERMITIAN_TOL, _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
+from .probability import _as_array, _clamp, _is_int, _memo, _quadratic
+from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
 UNBIASED_TOL = 1e-9
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the deviation operators or their Gram matrix
@@ -126,7 +126,7 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
     """
     checked = _complete_set(bases)
     n = checked.shape[1]
-    dists = _clamp(prob_lists, 2, "probability vector", SUM_TOL, axis=-1)
+    dists = _clamp(prob_lists, 2, "probability vector", "rows")
     if len(dists) != n + 1:
         raise ValidationError(f"need {n + 1} outcome distributions, got {len(dists)}")
     if dists.shape[1] != n:
@@ -162,7 +162,7 @@ def _complete_set(bases) -> np.ndarray:
 
 
 def _check_complete_set(arr: np.ndarray) -> np.ndarray:
-    checked = _check_matrices(arr, 3, "basis", HERMITIAN_TOL)
+    checked = _check_matrices(arr, 3, "basis")
     n = checked.shape[1]
     if len(checked) != n + 1:
         raise ValidationError(f"a complete MUB set for dimension {n} has {n + 1} bases")

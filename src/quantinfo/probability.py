@@ -6,6 +6,7 @@ All entropies are in bits (log base 2), and 0*log(0) is taken as 0 throughout.
 from __future__ import annotations
 
 import functools
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,12 +26,12 @@ def as_distribution(p) -> np.ndarray:
     within SUM_TOL of 1 is renormalized. Anything further off is rejected
     rather than silently repaired.
     """
-    return _clamp(p, 1, "probability vector", SUM_TOL)
+    return _clamp(p, 1, "probability vector", "total")
 
 
 def as_joint_distribution(table) -> np.ndarray:
     """Validate a 2-d joint probability table; same clamping rules as vectors."""
-    return _clamp(table, 2, "joint probability table", SUM_TOL)
+    return _clamp(table, 2, "joint probability table", "total")
 
 
 def shannon_entropy(p) -> float:
@@ -114,7 +115,7 @@ def majorizes(p, q) -> bool:
 
 def as_doubly_stochastic(matrix) -> np.ndarray:
     """Validate a square matrix with nonnegative entries and unit row/column sums (within SUM_TOL)."""
-    arr = _clamp(matrix, 2, "matrix")
+    arr = _clamp(matrix, 2, "matrix", None)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError("expected a nonempty square matrix")
     if np.any(np.abs(arr.sum(axis=0) - 1.0) >= SUM_TOL):
@@ -161,15 +162,14 @@ def random_distribution(n: int, seed: int) -> np.ndarray:
 # decorator, errstate costs less per call than as a with statement or than a
 # maximum test before the sum.
 @np.errstate(over="ignore")
-def _clamp(values, ndim: int, what: str, sum_tol: float | None = None,
-           axis: int | None = None) -> np.ndarray:
+def _clamp(values, ndim: int, what: str, sums: str | None) -> np.ndarray:
     """The one clamp routine behind the probability validators.
 
     Rejects a ragged or wrong-shaped array, non-finite entries and entries
-    below -ENTRY_TOL, and zeroes the rest of the negatives. Given sum_tol, a
-    total within sum_tol of 1 is renormalized and one further off is
-    rejected; the total is the whole array's, or each last-axis row's for
-    axis=-1.
+    below -ENTRY_TOL, and zeroes the rest of the negatives. sums is the sum
+    rule: "total" renormalizes a whole-array total within SUM_TOL of 1,
+    "rows" each last-axis row's, and a total further off is rejected; None
+    checks no sum.
 
     A valid array is accepted by whole-array reductions alone: a NaN or -inf
     fails the minimum test, a +inf the maximum or sum test. Only an array
@@ -183,36 +183,31 @@ def _clamp(values, ndim: int, what: str, sum_tol: float | None = None,
     if low >= -ENTRY_TOL:
         if low < 0.0:
             arr[arr < 0.0] = 0.0
-        if sum_tol is None:
+        if sums is None:
             if np.maximum.reduce(arr, axis=None) < np.inf:
                 return arr
-        elif axis is None or arr.ndim == 1:
+        elif sums == "total":
             total = np.add.reduce(arr, axis=None)
-            if abs(total - 1.0) < sum_tol:
+            if abs(total - 1.0) < SUM_TOL:
                 arr /= total
                 return arr
         else:
-            totals = np.add.reduce(arr, axis=axis, keepdims=True)
-            if np.maximum.reduce(abs(totals - 1.0), axis=None) < sum_tol:
+            totals = np.add.reduce(arr, axis=-1, keepdims=True)
+            if np.maximum.reduce(abs(totals - 1.0), axis=None) < SUM_TOL:
                 arr /= totals
                 return arr
-    return _clamp_entries(arr, what, sum_tol, axis)
+    _clamp_entries(arr, what, sums)
 
 
-def _clamp_entries(arr: np.ndarray, what: str, sum_tol: float | None, axis: int | None) -> np.ndarray:
-    """_clamp's checks one at a time, in order, for an array its fast test did not accept."""
+def _clamp_entries(arr: np.ndarray, what: str, sums: str | None) -> NoReturn:
+    """_clamp's checks one at a time, in order, to pick the error for an array its fast test did not accept."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} entries must be finite")
     if (arr < -ENTRY_TOL).any():
         raise ValidationError(f"negative {what} entry: min {arr.min():.3e}")
     arr[arr < 0.0] = 0.0
-    if sum_tol is None:
-        return arr
-    totals = arr.sum(axis=axis, keepdims=True)
-    drift = abs(totals - 1.0)
-    if np.count_nonzero(drift >= sum_tol):
-        raise ValidationError(f"{what} sums to {float(totals.flat[drift.argmax()])!r}, not 1")
-    return arr / totals
+    totals = arr.sum(axis=None if sums == "total" else -1, keepdims=True)
+    raise ValidationError(f"{what} sums to {float(totals.flat[abs(totals - 1.0).argmax()])!r}, not 1")
 
 
 def _memo(check, arr: np.ndarray, *args):

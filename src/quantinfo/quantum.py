@@ -225,23 +225,23 @@ def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
     "density" also renormalizes a trace within TRACE_TOL of 1 and rejects
     eigenvalues below -EIGENVALUE_TOL. Each distinct input is checked once.
     """
-    return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind, HERMITIAN_TOL)
+    return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind)
 
 
-def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.ndarray:
+def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
         raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
     # The squared Frobenius norm is finite unless an entry is not (or it overflows):
     # one call, where isfinite needs two, and none of the warnings a deviation
     # computed from an infinite entry would raise.
     if not np.vdot(arr, arr).real < np.inf:
-        return _check_huge_matrices(arr, kind, tol)
+        return _check_huge_matrices(arr, kind)
     if kind == "basis":
-        if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > tol:
+        if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > HERMITIAN_TOL:
             raise ValidationError("basis columns are not orthonormal within tolerance")
         return arr
     adjoint = arr.conj().swapaxes(-1, -2)
-    if np.abs(arr - adjoint).max() > tol:
+    if np.abs(arr - adjoint).max() > HERMITIAN_TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     arr = arr + adjoint
     arr /= 2.0
@@ -257,7 +257,7 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str, tol: float) -> np.nda
     return arr
 
 
-def _check_huge_matrices(arr: np.ndarray, kind: str, tol: float) -> np.ndarray:
+def _check_huge_matrices(arr: np.ndarray, kind: str) -> np.ndarray:
     """_check_matrices for entries that are not finite or whose squares overflow (above about 1e154)."""
     if not np.isfinite(arr).all():
         raise ValidationError("matrix entries must be finite")
@@ -269,7 +269,7 @@ def _check_huge_matrices(arr: np.ndarray, kind: str, tol: float) -> np.ndarray:
     # quarter scale keeps the deviation's modulus and the symmetrized sum finite
     quarter = arr * 0.25
     adjoint = quarter.conj().swapaxes(-1, -2)
-    if np.abs(quarter - adjoint).max() > tol / 4.0:
+    if np.abs(quarter - adjoint).max() > HERMITIAN_TOL / 4.0:
         raise ValidationError("matrix is not Hermitian within tolerance")
     quarter += adjoint
     quarter *= 2.0
@@ -292,13 +292,11 @@ def _purity(state: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", state, state).real)
 
 
-def _fix_column_phases(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first nonzero component is real positive."""
+def _fix_column_phases(matrix: np.ndarray) -> np.ndarray:
+    """Rotate each unit column so its first component of modulus above 1e-12 is real positive."""
     out = matrix.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size:
-            lead = col[idx[0]]
-            out[:, j] = col * (lead.conjugate() / abs(lead))
+        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        out[:, j] = col * (lead.conjugate() / abs(lead))
     return out

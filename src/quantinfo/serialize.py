@@ -33,7 +33,14 @@ def state_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ValidationError("state document must be a JSON object")
     if "bloch" in doc:
-        arr = bloch_state(_float_list(doc["bloch"], "bloch", 3))
+        vec = doc["bloch"]
+        if not isinstance(vec, list) or len(vec) != 3:
+            raise ValidationError('"bloch" must be a list of 3 numbers')
+        try:
+            vec = [float(x) for x in vec]
+        except (TypeError, ValueError):
+            raise ValidationError('"bloch" entries must be numbers') from None
+        arr = bloch_state(vec)
     elif "matrix" not in doc:
         raise ValidationError('state document needs a "matrix" or "bloch" field')
     else:
@@ -94,12 +101,3 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _float_list(value, name: str, length: int) -> list[float]:
-    if not isinstance(value, list) or len(value) != length:
-        raise ValidationError(f'"{name}" must be a list of {length} numbers')
-    try:
-        return [float(x) for x in value]
-    except (TypeError, ValueError):
-        raise ValidationError(f'"{name}" entries must be numbers') from None

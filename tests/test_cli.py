@@ -122,6 +122,16 @@ def test_closed_stdout_exits_quietly():
     assert done.returncode == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "--dist", ","], "probabilities is empty"),
+    (["entangle", "--obs", "xx", "--answers=1,1"],
+     "--obs expects two two-letter Pauli products, e.g. 'xx,yy'"),
+    (["entangle", "--obs", "xx,yy", "--answers", "1"], "--answers expects two eigenvalues"),
+], ids=["empty-dist", "one-observable", "one-answer"])
+def test_rejected_arguments_name_their_reason(capsys, argv, message):
+    assert cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestDistributionWindow:
     def test_small_drift_normalized_with_warning(self, capsys):
         code, payload, err = cli_json(capsys, "entropy", "--dist", "0.5000001,0.5")

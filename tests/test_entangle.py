@@ -84,6 +84,11 @@ class TestJointEigenstate:
         with pytest.raises(ValidationError):
             joint_eigenstate(pauli_product("x", "x"), np.eye(2), (1, 1))
 
+    @pytest.mark.parametrize("answers", [1, (1,), ("a", 1)], ids=["scalar", "one", "not-a-number"])
+    def test_answers_must_be_a_pair(self, answers):
+        with pytest.raises(ValidationError, match="^answers must be a pair of eigenvalues$"):
+            joint_eigenstate(pauli_product("x", "x"), pauli_product("y", "y"), answers)
+
 
 class TestPropositionInformation:
     def test_certain_answer(self):
@@ -134,6 +139,17 @@ class TestQuestionSets:
         for _, q in questions:
             assert np.allclose(q @ q, q, atol=1e-12)
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
+
+    def test_each_call_returns_fresh_writable_projectors(self):
+        before = info_split(BELL_PHI_PLUS)
+        first = individual_questions() + correlation_questions()
+        for _, q in first:
+            assert q.flags.writeable
+            q[:] = 0.0
+        second = individual_questions() + correlation_questions()
+        for (_, old), (_, new) in zip(first, second):
+            assert new.flags.writeable and np.any(new) and not np.shares_memory(old, new)
+        assert info_split(BELL_PHI_PLUS) == before
 
     def test_correlation_projector_contains_bell_state(self):
         for _, q in correlation_questions():

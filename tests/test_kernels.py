@@ -64,6 +64,25 @@ def test_only_validators_call_clamp():
     assert callers == CLAMP_CALLERS
 
 
+def test_no_function_takes_a_tolerance():
+    # every window is a module constant, and the entry-by-entry pass behind _clamp
+    # only picks the error message for an input the fast test already refused
+    knobs = []
+    for path in sorted(Path(quantinfo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                knobs += [(path.stem, getattr(node, "name", "<lambda>"), arg.arg)
+                          for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg)
+                          if arg and (arg.arg.lower() == "tol" or arg.arg.lower().endswith("_tol"))]
+    assert knobs == []
+    entries = {(module, name): node for module, name, node in source_functions()}[
+        ("probability", "_clamp_entries")]
+    assert not any(isinstance(n, ast.Return) for n in ast.walk(entries))
+    assert isinstance(entries.body[-1], ast.Raise)
+
+
 def test_kernels_raise_nothing():
     found = {(module, name): node for module, name, node in source_functions()}
     assert KERNELS <= found.keys()

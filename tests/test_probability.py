@@ -127,7 +127,7 @@ class TestValidationMemo:
         # more distinct inputs than the memo keeps, so eviction runs while eight
         # threads hit and miss the module memo through a cheap check
         pool = [random_distribution(2 + i % 7, seed=1200 + i) for i in range(300)]
-        args = (1, "probability vector", SUM_TOL)
+        args = (1, "probability vector", "total")
         expected = [_clamp(p, *args) for p in pool]
         wrong = []
         before = _checked.cache_info()
@@ -192,6 +192,14 @@ def reference_clamp(values, ndim, what, sum_tol=None, axis=None):
     return arr / totals
 
 
+# reference_clamp's arguments for each of _clamp's sum rules, at the windows _clamp reads
+REFERENCE_SUM_ARGS = {None: (), "total": (SUM_TOL,), "rows": (SUM_TOL, -1)}
+
+
+def reference_at_sum_tol(values, ndim, what, sums):
+    return reference_clamp(values, ndim, what, *REFERENCE_SUM_ARGS[sums])
+
+
 def reference_entropy(probs):
     """_entropy as an einsum over a zeros_like log buffer, as it was computed before."""
     logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
@@ -222,35 +230,43 @@ def assert_same_outcome(fn, reference, *args):
 
 
 V = "probability vector"
+# A total of 1 + k * 2**-52 is exact, and so is its drift from 1: the largest such
+# drift below SUM_TOL and the smallest at or above it.
+INSIDE_SUM_TOL = np.floor(SUM_TOL / 2.0 ** -52) * 2.0 ** -52
+OUTSIDE_SUM_TOL = INSIDE_SUM_TOL + 2.0 ** -52
 CLAMP_EDGES = {
-    "nan": ([0.5, np.nan, 0.5], 1, V, SUM_TOL),
-    "nan-and-negative": ([-0.5, np.nan, 1.5], 1, V, SUM_TOL),
-    "+inf": ([0.5, np.inf], 1, V, SUM_TOL),
-    "-inf": ([-np.inf, 1.0], 1, V, SUM_TOL),
-    "+inf-and--inf": ([np.inf, -np.inf, 1.0], 1, V, SUM_TOL),
-    "+inf-unsummed": ([np.inf, 0.5], 1, "matrix"),
-    "sum-overflows": ([1e308, 1e308], 1, V, SUM_TOL),
-    "sum-overflows-unsummed": ([1e308, 1e308], 1, "matrix"),
-    "row-sum-overflows": ([[0.5, 0.5], [1e308, 1e308]], 2, V, SUM_TOL, -1),
-    "negative-zero": ([-0.0, 1.0], 1, V, SUM_TOL),
-    "negative-zero-alone": ([-0.0], 1, V, SUM_TOL),
-    "negative-zero-unsummed": ([[-0.0, 1.0], [0.5, -0.0]], 2, "matrix"),
-    "at-entry-tol": ([1.0 + ENTRY_TOL, -ENTRY_TOL], 1, V, SUM_TOL),
-    "past-entry-tol": ([1.0 + 2 * ENTRY_TOL, -2 * ENTRY_TOL], 1, V, SUM_TOL),
-    "drift-at-sum-tol": ([0.5, 0.5 + 2.0 ** -30], 1, V, 2.0 ** -30),
-    "drift-under-sum-tol": ([0.5, 0.5 + 2.0 ** -31], 1, V, 2.0 ** -30),
-    "rows-at-sum-tol": ([[0.5, 0.5], [0.5, 0.5 - 2.0 ** -30]], 2, V, 2.0 ** -30, -1),
-    "rows-sum-to-one-together": ([[0.25, 0.25], [0.25, 0.25]], 2, V, SUM_TOL, -1),
-    "rows-one-drifts": ([[0.5, 0.5], [0.7, 0.7], [0.2, 0.8]], 2, V, SUM_TOL, -1),
-    "rows-one-nan": ([[0.5, 0.5], [np.nan, 1.0]], 2, V, SUM_TOL, -1),
-    "rows-one-negative": ([[0.5, 0.5], [1.5, -0.5]], 2, V, SUM_TOL, -1),
-    "rows-one-clamped": ([[0.5, 0.5], [1.0 + 1e-13, -1e-13]], 2, V, SUM_TOL, -1),
-    "single-row-axis": ([0.25, 0.75 + 1e-10], 1, V, SUM_TOL, -1),
-    "joint-table": ([[0.3, 0.2], [0.5 + 1e-10, -1e-13]], 2, "joint probability table", SUM_TOL),
-    "nan-sum-tol": ([0.5, 0.6], 1, V, float("nan")),
-    "wrong-ndim": ([[0.5, 0.5]], 1, V, SUM_TOL),
-    "empty": ([], 1, V, SUM_TOL),
-    "ragged": ([[0.5], [0.25, 0.25]], 2, V, SUM_TOL),
+    "nan": ([0.5, np.nan, 0.5], 1, V, "total"),
+    "nan-and-negative": ([-0.5, np.nan, 1.5], 1, V, "total"),
+    "+inf": ([0.5, np.inf], 1, V, "total"),
+    "-inf": ([-np.inf, 1.0], 1, V, "total"),
+    "+inf-and--inf": ([np.inf, -np.inf, 1.0], 1, V, "total"),
+    "+inf-unsummed": ([np.inf, 0.5], 1, "matrix", None),
+    "sum-overflows": ([1e308, 1e308], 1, V, "total"),
+    "sum-overflows-unsummed": ([1e308, 1e308], 1, "matrix", None),
+    "row-sum-overflows": ([[0.5, 0.5], [1e308, 1e308]], 2, V, "rows"),
+    "negative-zero": ([-0.0, 1.0], 1, V, "total"),
+    "negative-zero-alone": ([-0.0], 1, V, "total"),
+    "negative-zero-unsummed": ([[-0.0, 1.0], [0.5, -0.0]], 2, "matrix", None),
+    "at-entry-tol": ([1.0 + ENTRY_TOL, -ENTRY_TOL], 1, V, "total"),
+    "past-entry-tol": ([1.0 + 2 * ENTRY_TOL, -2 * ENTRY_TOL], 1, V, "total"),
+    "total-inside-sum-tol": ([0.5, 0.5 + INSIDE_SUM_TOL], 1, V, "total"),
+    "total-outside-sum-tol": ([0.5, 0.5 + OUTSIDE_SUM_TOL], 1, V, "total"),
+    "table-inside-sum-tol": ([[0.25, 0.25], [0.25, 0.25 + INSIDE_SUM_TOL]], 2,
+                             "joint probability table", "total"),
+    "table-outside-sum-tol": ([[0.25, 0.25], [0.25, 0.25 + OUTSIDE_SUM_TOL]], 2,
+                              "joint probability table", "total"),
+    "rows-inside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + INSIDE_SUM_TOL]], 2, V, "rows"),
+    "rows-outside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + OUTSIDE_SUM_TOL]], 2, V, "rows"),
+    "rows-sum-to-one-together": ([[0.25, 0.25], [0.25, 0.25]], 2, V, "rows"),
+    "rows-one-drifts": ([[0.5, 0.5], [0.7, 0.7], [0.2, 0.8]], 2, V, "rows"),
+    "rows-one-nan": ([[0.5, 0.5], [np.nan, 1.0]], 2, V, "rows"),
+    "rows-one-negative": ([[0.5, 0.5], [1.5, -0.5]], 2, V, "rows"),
+    "rows-one-clamped": ([[0.5, 0.5], [1.0 + 1e-13, -1e-13]], 2, V, "rows"),
+    "single-row-axis": ([0.25, 0.75 + 1e-10], 1, V, "rows"),
+    "joint-table": ([[0.3, 0.2], [0.5 + 1e-10, -1e-13]], 2, "joint probability table", "total"),
+    "wrong-ndim": ([[0.5, 0.5]], 1, V, "total"),
+    "empty": ([], 1, V, "total"),
+    "ragged": ([[0.5], [0.25, 0.25]], 2, V, "total"),
 }
 
 
@@ -259,7 +275,18 @@ class TestClampMatchesReference:
 
     @pytest.mark.parametrize("case", list(CLAMP_EDGES))
     def test_edge_cases(self, case):
-        assert_same_outcome(_clamp, reference_clamp, *CLAMP_EDGES[case])
+        assert_same_outcome(_clamp, reference_at_sum_tol, *CLAMP_EDGES[case])
+
+    def test_sum_tol_rows_straddle_the_window(self):
+        for case, values, ndim, what, sums in (
+                (case, *CLAMP_EDGES[case]) for case in CLAMP_EDGES if "side-sum-tol" in case):
+            drift = np.abs(np.sum(values, axis=None if sums == "total" else -1) - 1.0).max()
+            assert (drift < SUM_TOL) == ("inside" in case), case
+            if "inside" in case:
+                _clamp(values, ndim, what, sums)
+            else:
+                with pytest.raises(ValidationError, match="sums to"):
+                    _clamp(values, ndim, what, sums)
 
     def test_seeded_inputs(self):
         rng = np.random.default_rng(1234)
@@ -267,8 +294,8 @@ class TestClampMatchesReference:
             shape = (1 + i % 4, 1 + i % 7) if i % 3 else (1 + i % 9,)
             values = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]) * (1.0 + rng.normal(0, 1e-9))
             values[values < 0.05] -= rng.uniform(0.0, 2e-12)
-            args = (values, values.ndim, V, SUM_TOL, -1 if values.ndim == 2 else None)
-            assert_same_outcome(_clamp, reference_clamp, *args)
+            args = (values, values.ndim, V, "rows" if values.ndim == 2 else "total")
+            assert_same_outcome(_clamp, reference_at_sum_tol, *args)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -284,9 +311,8 @@ class TestClampMatchesReference:
             values.flat[data.draw(st.integers(0, values.size - 1))] = data.draw(specials)
         if data.draw(st.booleans()):
             values = values[0]
-        sum_tol = data.draw(st.sampled_from([None, SUM_TOL, 1e-6]))
-        axis = data.draw(st.sampled_from([None, -1]))
-        assert_same_outcome(_clamp, reference_clamp, values, values.ndim, V, sum_tol, axis)
+        sums = data.draw(st.sampled_from([None, "total", "rows"]))
+        assert_same_outcome(_clamp, reference_at_sum_tol, values, values.ndim, V, sums)
 
 
 class TestEntropyMatchesReference:
@@ -581,6 +607,11 @@ class TestDoublyStochastic:
     def test_validation_rejects_negative(self):
         with pytest.raises(ValidationError):
             as_doubly_stochastic([[1.2, -0.2], [-0.2, 1.2]])
+
+    @pytest.mark.parametrize("matrix", [[[0.5, 0.5]], [[1.0], [0.0]]], ids=["row", "column"])
+    def test_validation_rejects_non_square(self, matrix):
+        with pytest.raises(ValidationError, match="^expected a nonempty square matrix$"):
+            as_doubly_stochastic(matrix)
 
     def test_random_is_doubly_stochastic(self):
         for i in range(20):

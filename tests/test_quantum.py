@@ -68,6 +68,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             pure_state(vector)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pure_state([0, 0]), "state vector has zero norm"),
+        (lambda: bloch_state([0.1, 0.2]), "expected a finite Bloch vector of length 3"),
+        (lambda: bloch_state([0.0, np.nan, 0.0]), "expected a finite Bloch vector of length 3"),
+        (lambda: bloch_vector(np.eye(3) / 3), "Bloch vector is defined for qubit states only"),
+        (lambda: spin_basis([[0.0, 0.0, 1.0]]), "expected a finite direction vector of length 3"),
+        (lambda: spin_basis([0.0, 0.0, 0.0]), "direction vector has zero norm"),
+    ], ids=["zero-vector", "bloch-length", "bloch-nan", "bloch-of-qutrit", "direction-shape",
+            "zero-direction"])
+    def test_rejection_names_its_reason(self, call, message):
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == message
+
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(ValidationError):
             as_basis(np.array([[1, 1], [0, 0]], dtype=complex))
@@ -176,7 +190,7 @@ class TestValidationMemo:
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         tol = data.draw(st.sampled_from([HERMITIAN_TOL, TRACE_TOL, EIGENVALUE_TOL]))
         arr[i, j] += data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6])) * tol
-        want = outcome(_check_matrices, arr.copy(), 2, kind, HERMITIAN_TOL)[0]
+        want = outcome(_check_matrices, arr.copy(), 2, kind)[0]
         results = [outcome(validate, arr)[0] for _ in range(2)]
         for got in results:
             if isinstance(want, tuple):
@@ -214,7 +228,12 @@ def reference_check_matrices(arr, ndim, kind, tol):
     return arr
 
 
+def reference_at_hermitian_tol(arr, ndim, kind):
+    return reference_check_matrices(arr, ndim, kind, HERMITIAN_TOL)
+
+
 INF, NAN = np.inf, np.nan
+PAST_HERMITIAN_TOL = np.nextafter(HERMITIAN_TOL, 1.0)
 MATRIX_EDGES = {
     "nan-entry": ([[0.5, NAN], [0.0, 0.5]], 2),
     "inf-off-diagonal": ([[0.5, INF], [0.0, 0.5]], 2),
@@ -230,7 +249,10 @@ MATRIX_EDGES = {
     "stack-one-skew": ([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], 3),
     "stack-one-trace": ([np.eye(2) / 2, np.eye(2)], 3),
     "not-hermitian": ([[0.5, 0.1], [0.0, 0.5]], 2),
-    "skew-at-tol": ([[0.5, 2.0 ** -30], [0.0, 0.5]], 2),
+    "skew-at-tol": ([[0.5, HERMITIAN_TOL], [0.0, 0.5]], 2),
+    "skew-past-tol": ([[0.5, PAST_HERMITIAN_TOL], [0.0, 0.5]], 2),
+    "gram-at-tol": ([[1.0, HERMITIAN_TOL], [0.0, 1.0]], 2),
+    "gram-past-tol": ([[1.0, PAST_HERMITIAN_TOL], [0.0, 1.0]], 2),
     "negative-zero": ([[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]], 2),
     "trace-off": ([[0.6, 0.0], [0.0, 0.6]], 2),
     "trace-noise": ([[0.5 + 4e-10, 0.0], [0.0, 0.5]], 2),
@@ -249,28 +271,28 @@ def huge_entries(arr):
     return bool(np.isfinite(arr).all()) and not np.vdot(arr, arr).real < np.inf
 
 
-def assert_huge_outcome(arr, ndim, kind, tol):
+def assert_huge_outcome(arr, ndim, kind):
     """No warning; a state or a basis is rejected; a Hermitian matrix gives a finite (M + M*)/2."""
-    got, caught = outcome(_check_matrices, arr, ndim, kind, tol)
+    got, caught = outcome(_check_matrices, arr, ndim, kind)
     assert caught == set()
     if arr.ndim != ndim:
         assert got[0] is ValidationError
         return
     wide = arr.astype(np.clongdouble)  # no overflow in the reference arithmetic
     adjoint = wide.conj().swapaxes(-1, -2)
-    if kind != "hermitian" or np.abs(wide - adjoint).max() > tol:
+    if kind != "hermitian" or np.abs(wide - adjoint).max() > HERMITIAN_TOL:
         assert got[0] is ValidationError
         return
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, ((wide + adjoint) / 2).astype(complex), rtol=1e-15, atol=0)
 
 
-def assert_matches_reference(arr, ndim, kind, tol):
+def assert_matches_reference(arr, ndim, kind):
     """The reference's outcome, except on the overflow branch, which only _check_matrices handles."""
     if huge_entries(arr):
-        assert_huge_outcome(arr, ndim, kind, tol)
+        assert_huge_outcome(arr, ndim, kind)
     else:
-        assert_same_outcome(_check_matrices, reference_check_matrices, arr, ndim, kind, tol)
+        assert_same_outcome(_check_matrices, reference_at_hermitian_tol, arr, ndim, kind)
 
 
 class TestMatrixCheckMatchesReference:
@@ -286,9 +308,7 @@ class TestMatrixCheckMatchesReference:
     @pytest.mark.parametrize("case", list(MATRIX_EDGES))
     def test_edge_cases(self, case, kind):
         values, ndim = MATRIX_EDGES[case]
-        arr = np.asarray(values, dtype=complex)
-        for tol in (HERMITIAN_TOL, 2.0 ** -30):
-            assert_matches_reference(arr, ndim, kind, tol)
+        assert_matches_reference(np.asarray(values, dtype=complex), ndim, kind)
 
     def test_seeded_inputs(self):
         for i in range(120):
@@ -299,8 +319,7 @@ class TestMatrixCheckMatchesReference:
             for arr, ndim, kind in ((rho, 2, "density"), (rho, 2, "hermitian"), (u, 2, "basis"),
                                     (stack, 3, "density"), (stack * 1.01, 3, "density"),
                                     (u + 1e-10, 2, "basis")):
-                assert_same_outcome(_check_matrices, reference_check_matrices,
-                                    arr, ndim, kind, HERMITIAN_TOL)
+                assert_same_outcome(_check_matrices, reference_at_hermitian_tol, arr, ndim, kind)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -321,8 +340,7 @@ class TestMatrixCheckMatchesReference:
                 arr[b, j, i] = np.conj(value)
         if count == 1 and data.draw(st.booleans()):
             arr = arr[0]
-        tol = data.draw(st.sampled_from([HERMITIAN_TOL, 1e-6]))
-        assert_matches_reference(arr, arr.ndim, kind, tol)
+        assert_matches_reference(arr, arr.ndim, kind)
 
 
 class TestBornProbabilities:

@@ -115,6 +115,18 @@ class TestEnsembleDocuments:
             ensemble_from_json(doc)
 
 
+@pytest.mark.parametrize("decode, doc, message", [
+    (state_from_json, {"matrix": []}, '"matrix" must be a nonempty list of rows'),
+    (state_from_json, {"bloch": ["a", 0, 0]}, '"bloch" entries must be numbers'),
+    (ensemble_from_json, {"priors": [], "states": []},
+     '"states" must be a nonempty list of state documents'),
+], ids=["empty-matrix", "bloch-not-numbers", "no-states"])
+def test_rejected_document_names_its_reason(decode, doc, message):
+    with pytest.raises(ValidationError) as caught:
+        decode(doc)
+    assert str(caught.value) == message
+
+
 class TestFileLoading:
     def test_load_state(self, tmp_path):
         path = tmp_path / "state.json"
