@@ -36,6 +36,7 @@ from .quantum import (
 )
 
 QUBIT_GRID = (180, 360)  # polar x azimuthal points of the exhaustive qubit scan
+_GRID_BLOCK_WEIGHTS = 2**14  # Born weights the qubit search scores at once
 HILL_CLIMB_RESTARTS = 8  # random starting bases of the search above dimension 2
 HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
 
@@ -131,7 +132,9 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
 
     Qubit ensembles get an exhaustive 180 x 360 polar x azimuthal grid of
     spin readouts, then nested local grids around the best point, so the
-    qubit result is deterministic and seed-independent.
+    qubit result is deterministic and seed-independent. Each grid is scored
+    in blocks of directions, so working memory stays flat in the letter
+    count while time grows linearly with it.
     Higher dimensions use seeded hill climbing over bases (HILL_CLIMB_RESTARTS
     x HILL_CLIMB_STEPS) and report a lower bound. POVMs are excluded by
     design; the search covers projective measurements only.
@@ -238,9 +241,16 @@ def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
     paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
     bloch = np.einsum("aij,sji->as", ensemble.states, paulis).real
 
+    block = max(1, _GRID_BLOCK_WEIGHTS // (2 * len(bloch)))
+
     def best(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float]:
-        born = _qubit_born(bloch, _direction(thetas[:, None], phis).reshape(-1, 3))
-        k = int(np.argmax(_mutual_information(_joint(ensemble.priors, born))))
+        # only the scores outlive a block, so memory stays flat in the letter count
+        directions = _direction(thetas[:, None], phis).reshape(-1, 3)
+        scores = np.empty(len(directions))
+        for start in range(0, len(directions), block):
+            born = _qubit_born(bloch, directions[start:start + block])
+            scores[start:start + block] = _mutual_information(_joint(ensemble.priors, born))
+        k = int(np.argmax(scores))  # the first maximum wins, as in one pass
         return thetas[k // phis.size], phis[k % phis.size]
 
     theta, phi = best(np.linspace(0.0, np.pi, QUBIT_GRID[0]),

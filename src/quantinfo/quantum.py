@@ -15,6 +15,7 @@ HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9   # eigenvalues in [-tol, 0) are rounding noise
 PURE_THRESHOLD = 1.0 - 1e-9
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # smallest norm whose square is a normal float
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,11 +52,28 @@ def pure_state(vector) -> np.ndarray:
     v = _as_array(vector, complex, "state vector")
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ValidationError("expected a nonempty finite 1-d state vector")
-    norm = float(np.linalg.norm(v))
-    if norm <= 0.0:
-        raise ValidationError("state vector has zero norm")
-    v = v / norm
+    v = _unit(v, "state vector")
     return np.outer(v, v.conj())
+
+
+def _unit(v: np.ndarray, what: str) -> np.ndarray:
+    """v / |v| for a finite vector; a zero vector is rejected.
+
+    The direct norm sums squares, which underflow below about 1e-154 (losing bits,
+    or all of them) and overflow above about 1e154. Only then is v first divided by
+    its largest real or imaginary part, so every other vector keeps its direct bits.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not _SQRT_TINY <= norm < np.inf:
+        # real division by the parts: a complex one takes 1/scale, which overflows
+        parts = np.ascontiguousarray(v).view(float)
+        scale = np.max(np.abs(parts))
+        if scale == 0.0:
+            raise ValidationError(f"{what} has zero norm")
+        v = (parts / scale).view(v.dtype)
+        norm = np.linalg.norm(v)
+    return v / norm
 
 
 def bloch_state(r) -> np.ndarray:
@@ -106,10 +124,7 @@ def spin_basis(direction) -> np.ndarray:
     n_hat = np.asarray(direction, dtype=float)
     if n_hat.shape != (3,) or not np.all(np.isfinite(n_hat)):
         raise ValidationError("expected a finite direction vector of length 3")
-    length = float(np.linalg.norm(n_hat))
-    if length <= 0.0:
-        raise ValidationError("direction vector has zero norm")
-    n_hat = n_hat / length
+    n_hat = _unit(n_hat, "direction vector")
     observable = n_hat[0] * PAULI_X + n_hat[1] * PAULI_Y + n_hat[2] * PAULI_Z
     _, vectors = np.linalg.eigh(observable)
     basis = vectors[:, ::-1]  # +1 eigenvector first

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from quantinfo import (
     von_neumann_entropy,
     wrong_basis_demo,
 )
-from quantinfo.channel import _joint, _qubit_born
+from quantinfo import channel
+from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
+from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
 from quantinfo.probability import _mutual_information
 
 ZERO = pure_state([1, 0])
@@ -272,6 +276,75 @@ class TestQubitScorer:
         for direction, table in zip(directions, tables):
             effects = basis_projectors(spin_basis(direction))
             assert np.max(np.abs(table - joint_distribution(ens, effects))) < 1e-14
+
+def reference_best_qubit_direction(ensemble):
+    """The qubit grid search with every direction of a grid scored in one pass."""
+    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+    bloch = np.einsum("aij,sji->as", ensemble.states, paulis).real
+
+    def best(thetas, phis):
+        born = _qubit_born(bloch, _direction(thetas[:, None], phis).reshape(-1, 3))
+        k = int(np.argmax(_mutual_information(_joint(ensemble.priors, born))))
+        return thetas[k // phis.size], phis[k % phis.size]
+
+    theta, phi = best(np.linspace(0.0, np.pi, QUBIT_GRID[0]),
+                      np.linspace(0.0, 2.0 * np.pi, QUBIT_GRID[1], endpoint=False))
+    span_theta = np.pi / (QUBIT_GRID[0] - 1)
+    span_phi = 2.0 * np.pi / QUBIT_GRID[1]
+    offsets = np.linspace(-1.0, 1.0, 33)
+    for _ in range(5):
+        theta, phi = best(theta + span_theta * offsets, phi + span_phi * offsets)
+        span_theta /= 16.0
+        span_phi /= 16.0
+    return _direction(theta, phi)
+
+
+def traced_peak(call):
+    """Peak bytes traced while call() runs, above what was held when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestBlockedQubitGrid:
+    TIES = [cq_ensemble([0.5, 0.5], [ZERO, ONE]), cq_ensemble([0.3, 0.7], [ZERO, ZERO]),
+            cq_ensemble([1.0], [np.eye(2) / 2]), cq_ensemble([1.0], [PLUS]), ZERO_PLUS, TRINE]
+    SEEDED = [random_ensemble(2, 1 + i % 6, seed=1300 + i) for i in range(24)] + [
+        random_ensemble(2, 16, seed=1324)]
+    ENSEMBLES = TIES + SEEDED
+
+    @staticmethod
+    def assert_matches_one_pass(ens):
+        effects = tuple(basis_projectors(spin_basis(reference_best_qubit_direction(ens))))
+        result = accessible_information(ens)
+        assert result.value == measured_information(ens, effects)
+        assert all(np.array_equal(a, b) for a, b in zip(result.effects, effects, strict=True))
+
+    @pytest.mark.parametrize("index", range(len(ENSEMBLES)),
+                             ids=["orthogonal", "identical", "maximally-mixed", "one-letter",
+                                  "zero-plus", "trine"] + [f"seeded-{i}" for i in range(25)])
+    def test_matches_one_pass_scorer(self, index):
+        self.assert_matches_one_pass(self.ENSEMBLES[index])
+
+    @pytest.mark.parametrize("weights", [2**10, 2**16, 2**20])
+    def test_block_size_changes_no_bit(self, weights, monkeypatch):
+        monkeypatch.setattr(channel, "_GRID_BLOCK_WEIGHTS", weights)
+        self.assert_matches_one_pass(random_ensemble(2, 3, seed=1325))
+
+    @pytest.mark.parametrize("letters", [2, 16])
+    def test_working_memory_is_flat_in_the_letter_count(self, letters):
+        # the one-pass grid held every direction's tables: about 9 MB at 2 letters, 71 at 16
+        ens = random_ensemble(2, letters, seed=1400 + letters)
+        assert traced_peak(lambda: accessible_information(ens)) < 4 * 2**20
+
 
 class TestWrongBasisDemo:
     def test_aligned_readout_is_lossless(self):

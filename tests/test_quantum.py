@@ -82,6 +82,20 @@ class TestValidation:
             call()
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: pure_state([1e-170, 0]), lambda: pure_state([1, 0])),
+        (lambda: spin_basis([0, 0, 1e-300]), lambda: spin_basis([0, 0, 1])),
+        (lambda: pure_state([1e200, 1e200]), lambda: pure_state([1, 1])),
+        (lambda: spin_basis([1e200, 0, 0]), lambda: spin_basis([1, 0, 0])),
+        (lambda: pure_state([1e-160, 1e-160]), lambda: pure_state([1, 1])),
+        (lambda: pure_state([5e-324j, 5e-324]), lambda: pure_state([1j, 1])),
+    ], ids=["state-underflow", "direction-underflow", "state-overflow", "direction-overflow",
+            "state-subnormal-sum", "state-subnormal-complex"])
+    def test_norm_survives_extreme_magnitudes(self, call, expected):
+        # the squares under- or overflow: such vectors were rejected as zero, came
+        # back as the zero matrix or the wrong basis, or lost the trace's last digits
+        np.testing.assert_array_equal(call(), expected())
+
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(ValidationError):
             as_basis(np.array([[1, 1], [0, 0]], dtype=complex))
