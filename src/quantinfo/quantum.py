@@ -15,7 +15,7 @@ HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9   # eigenvalues in [-tol, 0) are rounding noise
 PURE_THRESHOLD = 1.0 - 1e-9
-_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # smallest norm whose square is a normal float
+_SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -81,7 +81,8 @@ def bloch_state(r) -> np.ndarray:
     vec = np.asarray(r, dtype=float)
     if vec.shape != (3,) or not np.all(np.isfinite(vec)):
         raise ValidationError("expected a finite Bloch vector of length 3")
-    length = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # a huge entry overflows to inf, which fails below
+        length = float(np.linalg.norm(vec))
     if length > 1.0 + EIGENVALUE_TOL:
         raise ValidationError(f"Bloch vector has length {length!r} > 1")
     return (np.eye(2, dtype=complex)

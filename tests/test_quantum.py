@@ -72,11 +72,12 @@ class TestValidation:
         (lambda: pure_state([0, 0]), "state vector has zero norm"),
         (lambda: bloch_state([0.1, 0.2]), "expected a finite Bloch vector of length 3"),
         (lambda: bloch_state([0.0, np.nan, 0.0]), "expected a finite Bloch vector of length 3"),
+        (lambda: bloch_state([1e200, 0.0, 0.0]), "Bloch vector has length inf > 1"),
         (lambda: bloch_vector(np.eye(3) / 3), "Bloch vector is defined for qubit states only"),
         (lambda: spin_basis([[0.0, 0.0, 1.0]]), "expected a finite direction vector of length 3"),
         (lambda: spin_basis([0.0, 0.0, 0.0]), "direction vector has zero norm"),
-    ], ids=["zero-vector", "bloch-length", "bloch-nan", "bloch-of-qutrit", "direction-shape",
-            "zero-direction"])
+    ], ids=["zero-vector", "bloch-length", "bloch-nan", "bloch-overflow", "bloch-of-qutrit",
+            "direction-shape", "zero-direction"])
     def test_rejection_names_its_reason(self, call, message):
         with pytest.raises(ValidationError) as caught:
             call()
