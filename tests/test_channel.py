@@ -33,8 +33,8 @@ from quantinfo import (
 )
 from quantinfo import channel
 from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
-from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
 from quantinfo.probability import _mutual_information
+from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
 
 ZERO = pure_state([1, 0])
 ONE = pure_state([0, 1])
@@ -277,6 +277,7 @@ class TestQubitScorer:
             effects = basis_projectors(spin_basis(direction))
             assert np.max(np.abs(table - joint_distribution(ens, effects))) < 1e-14
 
+
 def reference_best_qubit_direction(ensemble):
     """The qubit grid search with every direction of a grid scored in one pass."""
     paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
@@ -341,7 +342,8 @@ class TestBlockedQubitGrid:
 
     @pytest.mark.parametrize("letters", [2, 16])
     def test_working_memory_is_flat_in_the_letter_count(self, letters):
-        # the one-pass grid held every direction's tables: about 9 MB at 2 letters, 71 at 16
+        # one bound for both counts; a single pass over the grid would hold every
+        # direction's tables, about 4.5 MB more per letter
         ens = random_ensemble(2, letters, seed=1400 + letters)
         assert traced_peak(lambda: accessible_information(ens)) < 4 * 2**20
 

@@ -93,8 +93,8 @@ class TestValidation:
     ], ids=["state-underflow", "direction-underflow", "state-overflow", "direction-overflow",
             "state-subnormal-sum", "state-subnormal-complex"])
     def test_norm_survives_extreme_magnitudes(self, call, expected):
-        # the squares under- or overflow: such vectors were rejected as zero, came
-        # back as the zero matrix or the wrong basis, or lost the trace's last digits
+        # each vector's squared norm is subnormal, zero or infinite, yet its direction
+        # is well defined and must come out exactly as for the rescaled vector
         np.testing.assert_array_equal(call(), expected())
 
     def test_basis_orthonormality_enforced(self):
