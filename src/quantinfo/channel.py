@@ -19,13 +19,12 @@ from .probability import (
     _entropy,
     _is_int,
     _mutual_information,
+    TOL,
     as_distribution,
 )
 from .quantum import (
     _as_matrices,
     _spectrum,
-    EIGENVALUE_TOL,
-    HERMITIAN_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -36,7 +35,10 @@ from .quantum import (
 )
 
 QUBIT_GRID = (180, 360)  # polar x azimuthal points of the exhaustive qubit scan
+_LOCAL_GRIDS = (5, 33)   # rounds of local grids after the scan, and points per axis of each
+_GRID_DIRECTIONS = QUBIT_GRID[0] * QUBIT_GRID[1] + _LOCAL_GRIDS[0] * _LOCAL_GRIDS[1] ** 2
 _GRID_BLOCK_WEIGHTS = 2**14  # Born weights the qubit search scores at once
+_GRID_MAX_WEIGHTS = 2**24    # Born weights one qubit search may score: up to 119 letters
 HILL_CLIMB_RESTARTS = 8  # random starting bases of the search above dimension 2
 HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
 
@@ -134,7 +136,7 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
     spin readouts, then nested local grids around the best point, so the
     qubit result is deterministic and seed-independent. Each grid is scored
     in blocks of directions, so working memory stays flat in the letter
-    count while time grows linearly with it.
+    count while time grows linearly with it, up to _GRID_MAX_WEIGHTS weights.
     Higher dimensions use seeded hill climbing over bases (HILL_CLIMB_RESTARTS
     x HILL_CLIMB_STEPS) and report a lower bound. POVMs are excluded by
     design; the search covers projective measurements only.
@@ -142,6 +144,10 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
     if not (_is_int(seed) and seed >= 0):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     if ensemble.dim == 2:
+        weights = 2 * ensemble.size * _GRID_DIRECTIONS  # two outcomes per letter and direction
+        if weights > _GRID_MAX_WEIGHTS:
+            raise ValidationError(f"{ensemble.size} qubit letters need {weights} Born weights, more than "
+                                  f"the search's cap of {_GRID_MAX_WEIGHTS}")
         direction = _best_qubit_direction(ensemble)
         effects = tuple(basis_projectors(spin_basis(direction)))
         return AccessibleInfo(measured_information(ensemble, effects), effects, "grid")
@@ -205,11 +211,11 @@ def _povm(effects, dim: int | None) -> np.ndarray:
     if dim is not None and n != dim:
         raise ValidationError(f"effects are {n}-dimensional, expected {dim}")
     smallest = np.linalg.eigvalsh(checked)[:, 0]
-    negative = np.flatnonzero(smallest < -EIGENVALUE_TOL)
+    negative = np.flatnonzero(smallest < -TOL)
     if negative.size:
         raise ValidationError(f"effect {negative[0]} is not positive semidefinite: "
                               f"min eigenvalue {smallest[negative[0]]:.3e}")
-    if np.max(np.abs(checked.sum(axis=0) - np.eye(n))) > HERMITIAN_TOL:
+    if np.max(np.abs(checked.sum(axis=0) - np.eye(n))) > TOL:
         raise ValidationError("effects do not sum to the identity")
     return checked
 
@@ -257,8 +263,8 @@ def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
                       np.linspace(0.0, 2.0 * np.pi, QUBIT_GRID[1], endpoint=False))
     span_theta = np.pi / (QUBIT_GRID[0] - 1)
     span_phi = 2.0 * np.pi / QUBIT_GRID[1]
-    offsets = np.linspace(-1.0, 1.0, 33)
-    for _ in range(5):  # each local grid spans one step of the grid before it
+    offsets = np.linspace(-1.0, 1.0, _LOCAL_GRIDS[1])
+    for _ in range(_LOCAL_GRIDS[0]):  # each local grid spans one step of the grid before it
         theta, phi = best(theta + span_theta * offsets, phi + span_phi * offsets)
         span_theta /= 16.0
         span_phi /= 16.0

@@ -234,7 +234,7 @@ def _verdict(key: str, label: str, report) -> tuple:
     value = {"max_deviation": report.max_deviation, "worst_pair": list(report.worst_pair),
              "passed": report.passed}
     text = (f"{label} = {{0[max_deviation]:.3e}} "
-            f"({'pass' if report.passed else 'FAIL'} at tol {mub.UNBIASED_TOL:g})")
+            f"({'pass' if report.passed else 'FAIL'} at tol {probability.TOL:g})")
     return key, value, text
 
 
@@ -278,7 +278,7 @@ def _cmd_reconstruct(args):
         raise ValidationError(f"each outcome distribution must have {n} entries")
     rho = mub.reconstruct(dists, mub.build_mubs(n))
     smallest = quantum.smallest_eigenvalue(rho)
-    indefinite = smallest < -quantum.EIGENVALUE_TOL
+    indefinite = smallest < -probability.TOL
     return [{"probs": dists, "state": state_to_json(rho)}, *_matrix_lines(rho),
             ("smallest_eigenvalue", smallest, "smallest eigenvalue = {:.6e}"
              + ("  (indefinite: statistics are not exactly quantum)" if indefinite else ""))]

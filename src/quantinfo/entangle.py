@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _quadratic, _renormalize
-from .quantum import (HERMITIAN_TOL, PAULIS, _fix_column_phases, _hermitian_pair, as_density,
-                      as_hermitian, pure_state)
+from .probability import TOL, _quadratic, _renormalize
+from .quantum import PAULIS, _fix_column_phases, _hermitian_pair, as_density, as_hermitian, pure_state
 
-COMMUTATOR_TOL = 1e-9
 EIGENVALUE_MATCH_TOL = 1e-6
 
 
@@ -53,7 +51,7 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     the error).
     """
     a, b = _hermitian_pair(obs_a, obs_b)
-    if np.max(np.abs(a @ b - b @ a)) > COMMUTATOR_TOL:
+    if np.max(np.abs(a @ b - b @ a)) > TOL:
         raise ValidationError("observables do not commute")
     try:
         want_a, want_b = (float(x) for x in answers)
@@ -82,7 +80,7 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
         float(np.linalg.norm(a @ vector - want_a * vector)),
         float(np.linalg.norm(b @ vector - want_b * vector)),
     )
-    if residual > COMMUTATOR_TOL:
+    if residual > TOL:
         raise ValidationError(f"joint eigenvector residual {residual:.3e} too large")
     return pure_state(_fix_column_phases(vector[:, None])[:, 0])
 
@@ -96,7 +94,7 @@ def proposition_information(rho, question) -> float:
     q = as_hermitian(question)
     if q.shape != state.shape:
         raise ValidationError("question and state must have equal dimensions")
-    if np.max(np.abs(q @ q - q)) > HERMITIAN_TOL:
+    if np.max(np.abs(q @ q - q)) > TOL:
         raise ValidationError("question must be a projector")
     return float(_question_information(state, q))
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _as_array, _clamp, _is_int, _memo, _quadratic
+from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic
 from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
-UNBIASED_TOL = 1e-9
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the deviation operators or their Gram matrix
 
 
@@ -24,7 +23,7 @@ class DeviationReport:
     """Worst-case deviation over all cross-basis projector pairs.
 
     worst_pair is (basis_j, vector_i, basis_k, vector_m) for the offending
-    pair of projectors; passed means max_deviation < UNBIASED_TOL.
+    pair of projectors; passed means max_deviation <= TOL.
     """
 
     max_deviation: float
@@ -89,7 +88,7 @@ def hyperplane_orthogonality(bases) -> DeviationReport:
     j, k, i, m = (int(x) for x in np.unravel_index(np.argmax(scan), scan.shape))
     worst = float(scan[j, k, i, m])
     worst_pair = (j, i, k, m) if worst > 0.0 else (0, 0, 0, 0)
-    return DeviationReport(worst, worst_pair, worst < UNBIASED_TOL)
+    return DeviationReport(worst, worst_pair, worst <= TOL)
 
 
 def information_sum(rho, bases) -> float:
@@ -185,7 +184,7 @@ def _overlap_report(checked: np.ndarray) -> DeviationReport:
         if deviation[k, i, m] > worst:
             worst = float(deviation[k, i, m])
             worst_pair = (j, int(i), j + 1 + int(k), int(m))
-    return DeviationReport(worst, worst_pair, worst < UNBIASED_TOL)
+    return DeviationReport(worst, worst_pair, worst <= TOL)
 
 
 def _is_odd_prime(n: int) -> bool:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+TOL = 1e-9         # the library's one verdict window: a deviation d passes if d <= TOL
 ENTRY_TOL = 1e-12  # negative entries no worse than this are clamped to zero
-SUM_TOL = 1e-9     # vectors whose sum deviates from 1 by this much are rejected
 
 _MEMO_ENTRIES = 64           # passed checks the validator memo keeps
 _MEMO_MAX_BYTES = 8 * 1024   # larger arrays (a complete MUB set past n = 7) are never stored
@@ -23,7 +23,7 @@ def as_distribution(p) -> np.ndarray:
     """Validate a probability vector and return it exactly normalized.
 
     Entries in [-ENTRY_TOL, 0) are rounding noise and clamp to zero; a sum
-    within SUM_TOL of 1 is renormalized. Anything further off is rejected
+    within TOL of 1 is renormalized. Anything further off is rejected
     rather than silently repaired.
     """
     return _clamp(p, 1, "probability vector", "total")
@@ -100,7 +100,7 @@ def mutual_information(joint) -> float:
 
 
 def majorizes(p, q) -> bool:
-    """True if p majorizes q (descending partial sums of p dominate q's, within SUM_TOL).
+    """True if p majorizes q (descending partial sums of p dominate q's, within TOL).
 
     Vectors of different lengths are compared after padding with zeros. The
     uniform distribution is majorized by everything of its length.
@@ -110,17 +110,17 @@ def majorizes(p, q) -> bool:
     padded[0, :a.size] = np.sort(a)[::-1]
     padded[1, :b.size] = np.sort(b)[::-1]
     sums = np.cumsum(padded, axis=1)
-    return bool((sums[0] >= sums[1] - SUM_TOL).all())
+    return bool((sums[0] >= sums[1] - TOL).all())
 
 
 def as_doubly_stochastic(matrix) -> np.ndarray:
-    """Validate a square matrix with nonnegative entries and unit row/column sums (within SUM_TOL)."""
+    """Validate a square matrix with nonnegative entries and unit row/column sums (within TOL)."""
     arr = _clamp(matrix, 2, "matrix", None)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError("expected a nonempty square matrix")
-    if np.any(np.abs(arr.sum(axis=0) - 1.0) >= SUM_TOL):
+    if np.any(np.abs(arr.sum(axis=0) - 1.0) > TOL):
         raise ValidationError("column sums deviate from 1")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) >= SUM_TOL):
+    if np.any(np.abs(arr.sum(axis=1) - 1.0) > TOL):
         raise ValidationError("row sums deviate from 1")
     return arr
 
@@ -131,8 +131,7 @@ def apply_doubly_stochastic(matrix, p) -> np.ndarray:
     probs = as_distribution(p)
     if s.shape[0] != probs.size:
         raise ValidationError(f"matrix is {s.shape[0]}x{s.shape[0]} but distribution has {probs.size} entries")
-    mixed = s @ probs
-    return mixed / mixed.sum()
+    return _renormalize(s @ probs)
 
 
 def random_doubly_stochastic(n: int, seed: int) -> np.ndarray:
@@ -167,7 +166,7 @@ def _clamp(values, ndim: int, what: str, sums: str | None) -> np.ndarray:
 
     Rejects a ragged or wrong-shaped array, non-finite entries and entries
     below -ENTRY_TOL, and zeroes the rest of the negatives. sums is the sum
-    rule: "total" renormalizes a whole-array total within SUM_TOL of 1,
+    rule: "total" renormalizes a whole-array total within TOL of 1,
     "rows" each last-axis row's, and a total further off is rejected; None
     checks no sum.
 
@@ -188,12 +187,12 @@ def _clamp(values, ndim: int, what: str, sums: str | None) -> np.ndarray:
                 return arr
         elif sums == "total":
             total = np.add.reduce(arr, axis=None)
-            if abs(total - 1.0) < SUM_TOL:
+            if abs(total - 1.0) <= TOL:
                 arr /= total
                 return arr
         else:
             totals = np.add.reduce(arr, axis=-1, keepdims=True)
-            if np.maximum.reduce(abs(totals - 1.0), axis=None) < SUM_TOL:
+            if np.maximum.reduce(abs(totals - 1.0), axis=None) <= TOL:
                 arr /= totals
                 return arr
     _clamp_entries(arr, what, sums)

@@ -9,12 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _as_array, _check_size, _entropy, _is_int, _memo, _renormalize
+from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize
 
-HERMITIAN_TOL = 1e-9
-TRACE_TOL = 1e-9
-EIGENVALUE_TOL = 1e-9   # eigenvalues in [-tol, 0) are rounding noise
-PURE_THRESHOLD = 1.0 - 1e-9
 _SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,7 +25,7 @@ PAULIS = {
 
 
 def as_hermitian(matrix) -> np.ndarray:
-    """Validate Hermiticity within HERMITIAN_TOL and return the symmetrized matrix (M + M*)/2."""
+    """Validate Hermiticity within TOL and return the symmetrized matrix (M + M*)/2."""
     return _as_matrices(matrix, 2, "hermitian")
 
 
@@ -37,13 +33,13 @@ def as_density(matrix) -> np.ndarray:
     """Validate a density operator: Hermitian, unit trace, positive semidefinite.
 
     The trace is renormalized to exactly 1 when within tolerance; eigenvalues
-    down to -EIGENVALUE_TOL are accepted as rounding noise.
+    down to -TOL are accepted as rounding noise.
     """
     return _as_matrices(matrix, 2, "density")
 
 
 def as_basis(matrix) -> np.ndarray:
-    """Validate an orthonormal basis (within HERMITIAN_TOL) given as the columns of a unitary matrix."""
+    """Validate an orthonormal basis (within TOL) given as the columns of a unitary matrix."""
     return _as_matrices(matrix, 2, "basis")
 
 
@@ -83,7 +79,7 @@ def bloch_state(r) -> np.ndarray:
         raise ValidationError("expected a finite Bloch vector of length 3")
     with np.errstate(over="ignore"):  # a huge entry overflows to inf, which fails below
         length = float(np.linalg.norm(vec))
-    if length > 1.0 + EIGENVALUE_TOL:
+    if length > 1.0 + TOL:
         raise ValidationError(f"Bloch vector has length {length!r} > 1")
     return (np.eye(2, dtype=complex)
             + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z) / 2.0
@@ -178,7 +174,7 @@ def total_information(rho) -> float:
 
 
 def is_pure(rho) -> bool:
-    return purity(rho) > PURE_THRESHOLD
+    return 1.0 - purity(rho) <= TOL
 
 
 def hs_inner_product(a, b) -> float:
@@ -238,8 +234,8 @@ def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
     """The one matrix validator: a finite square matrix (ndim 2) or a stack of them (ndim 3).
 
     kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
-    "density" also renormalizes a trace within TRACE_TOL of 1 and rejects
-    eigenvalues below -EIGENVALUE_TOL. Each distinct input is checked once.
+    "density" also renormalizes a trace within TOL of 1 and rejects
+    eigenvalues below -TOL. Each distinct input is checked once.
     """
     return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind)
 
@@ -253,22 +249,22 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
     if not np.vdot(arr, arr).real < np.inf:
         return _check_huge_matrices(arr, kind)
     if kind == "basis":
-        if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > HERMITIAN_TOL:
+        if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > TOL:
             raise ValidationError("basis columns are not orthonormal within tolerance")
         return arr
     adjoint = arr.conj().swapaxes(-1, -2)
-    if np.abs(arr - adjoint).max() > HERMITIAN_TOL:
+    if np.abs(arr - adjoint).max() > TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     arr = arr + adjoint
     arr /= 2.0
     if kind == "density":
         traces = arr.trace(axis1=-2, axis2=-1).real
         drift = abs(traces - 1.0)
-        if np.count_nonzero(drift > TRACE_TOL):
+        if np.count_nonzero(drift > TOL):
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
         arr /= traces[..., None, None]
         smallest = np.linalg.eigvalsh(arr)[..., 0]
-        if np.count_nonzero(smallest < -EIGENVALUE_TOL):
+        if np.count_nonzero(smallest < -TOL):
             raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
     return arr
 
@@ -285,7 +281,7 @@ def _check_huge_matrices(arr: np.ndarray, kind: str) -> np.ndarray:
     # quarter scale keeps the deviation's modulus and the symmetrized sum finite
     quarter = arr * 0.25
     adjoint = quarter.conj().swapaxes(-1, -2)
-    if np.abs(quarter - adjoint).max() > HERMITIAN_TOL / 4.0:
+    if np.abs(quarter - adjoint).max() > TOL / 4.0:
         raise ValidationError("matrix is not Hermitian within tolerance")
     quarter += adjoint
     quarter *= 2.0

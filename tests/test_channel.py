@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,32 @@ class TestBlockedQubitGrid:
         # direction's tables, about 4.5 MB more per letter
         ens = random_ensemble(2, letters, seed=1400 + letters)
         assert traced_peak(lambda: accessible_information(ens)) < 4 * 2**20
+
+
+class TestQubitLetterCap:
+    # 70,245 directions score two Born weights per letter: 2**24 weights admit 119 letters
+    LARGEST = channel._GRID_MAX_WEIGHTS // (2 * channel._GRID_DIRECTIONS)
+
+    def test_cap_counts_every_scored_weight(self):
+        assert channel._GRID_DIRECTIONS == QUBIT_GRID[0] * QUBIT_GRID[1] + 5 * 33 ** 2
+        assert self.LARGEST == 119
+
+    def test_largest_accepted_count_finishes(self):
+        ens = random_ensemble(2, self.LARGEST, seed=1500)
+        started = time.perf_counter()
+        result = accessible_information(ens)
+        assert time.perf_counter() - started < 10.0  # about 0.7 s on a 2-vCPU VM
+        assert 0.0 <= result.value <= holevo_chi(ens)
+
+    def test_next_count_rejected_before_the_search(self, monkeypatch):
+        def unreachable(ensemble):
+            raise AssertionError("the grid search ran")
+
+        monkeypatch.setattr(channel, "_best_qubit_direction", unreachable)
+        with pytest.raises(ValidationError) as caught:
+            accessible_information(random_ensemble(2, self.LARGEST + 1, seed=1501))
+        assert str(caught.value) == ("120 qubit letters need 16858800 Born weights, "
+                                     "more than the search's cap of 16777216")
 
 
 class TestWrongBasisDemo:

@@ -321,6 +321,13 @@ class TestChannelCommands:
         assert (code, out) == (1, "")
         assert err.startswith("error: seed must be a nonnegative integer")
 
+    def test_accessible_rejects_qubit_letters_past_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps(ensemble_to_json(random_ensemble(2, 120, seed=5))))
+        code, out, err = cli(capsys, "accessible", "--ensemble", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 120 qubit letters need 16858800 Born weights")
+
     def test_ensemble_with_non_integer_dim_rejected(self, capsys, tmp_path):
         doc = ensemble_to_json(random_ensemble(2, 2, seed=5))
         doc["states"][0]["dim"] = "abc"

@@ -28,7 +28,7 @@ from quantinfo import (
     measured_information,
     spectrum,
 )
-from quantinfo.quantum import EIGENVALUE_TOL, HERMITIAN_TOL, TRACE_TOL
+from quantinfo.probability import TOL
 
 # the validators that may call probability._clamp, as (module, function)
 CLAMP_CALLERS = {
@@ -83,6 +83,23 @@ def test_no_function_takes_a_tolerance():
     assert isinstance(entries.body[-1], ast.Raise)
 
 
+def test_one_verdict_window():
+    # every 1e-9 verdict reads probability.TOL; only windows of other sizes keep their own names
+    assigned, imported = set(), set()
+    for path in sorted(Path(quantinfo.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                imported |= {(path.stem, alias.asname or alias.name) for alias in node.names}
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    assigned.add((path.stem, target.id))
+    window = lambda name: name == "TOL" or name.endswith(("_TOL", "THRESHOLD"))
+    assert {key for key in assigned if window(key[1])} == {
+        ("probability", "TOL"), ("probability", "ENTRY_TOL"),
+        ("entangle", "EIGENVALUE_MATCH_TOL"), ("cli", "CLI_SUM_TOL")}
+    assert {name for _, name in imported if window(name)} == {"TOL"}
+
+
 def test_kernels_raise_nothing():
     found = {(module, name): node for module, name, node in source_functions()}
     assert KERNELS <= found.keys()
@@ -128,30 +145,30 @@ def unitary(rng, n, first_column=None):
 # that same eigenvector.
 
 def edge_state(frame, reach, negatives, rng):
-    """Eigenvalues 1..negatives at -reach * EIGENVALUE_TOL, the largest first, trace 1 + reach * TRACE_TOL."""
+    """Eigenvalues 1..negatives at -reach * TOL, the largest first, trace 1 + reach * TOL."""
     n = len(frame)
-    values = np.full(n, -reach * EIGENVALUE_TOL)
+    values = np.full(n, -reach * TOL)
     keep = np.r_[0, 1 + negatives:n]
     positive = np.sort(rng.dirichlet(np.ones(keep.size)))[::-1]
-    values[keep] = positive * (1.0 + negatives * reach * EIGENVALUE_TOL)
-    return (1.0 + reach * TRACE_TOL) * (frame * values) @ frame.conj().T
+    values[keep] = positive * (1.0 + negatives * reach * TOL)
+    return (1.0 + reach * TOL) * (frame * values) @ frame.conj().T
 
 
 def edge_basis(u, reach):
-    """u (I + eps J), J all ones: its Gram matrix is off the identity by reach * HERMITIAN_TOL."""
+    """u (I + eps J), J all ones: its Gram matrix is off the identity by reach * TOL."""
     n = len(u)
-    return u @ (np.eye(n) + 0.5 * reach * HERMITIAN_TOL * np.ones((n, n)))
+    return u @ (np.eye(n) + 0.5 * reach * TOL * np.ones((n, n)))
 
 
 def edge_povm(frame, reach):
-    """Projectors on the frame with E1 - t P0 and (1 + t) P0, t = reach * EIGENVALUE_TOL.
+    """Projectors on the frame with E1 - t P0 and (1 + t) P0, t = reach * TOL.
 
-    All effects are scaled by 1 + reach * HERMITIAN_TOL, so their sum is off the identity too.
+    All effects are scaled by 1 + reach * TOL, so their sum is off the identity too.
     """
     effects = np.einsum("ik,jk->kij", frame, frame.conj())
-    effects[1] -= reach * EIGENVALUE_TOL * effects[0]
-    effects[0] *= 1.0 + reach * EIGENVALUE_TOL
-    return effects * (1.0 + reach * HERMITIAN_TOL)
+    effects[1] -= reach * TOL * effects[0]
+    effects[0] *= 1.0 + reach * TOL
+    return effects * (1.0 + reach * TOL)
 
 
 def assert_clean_rows(table, row_sums=1.0):

@@ -24,7 +24,7 @@ from quantinfo import (
     verify_unbiased,
 )
 from quantinfo import mub
-from quantinfo.probability import _checked
+from quantinfo.probability import TOL, _checked
 
 
 def reference_hyperplane(bases):
@@ -217,7 +217,7 @@ class TestHyperplaneAgainstReference:
         assert j < k
         pbar = np.outer(bases[j][:, i], bases[j][:, i].conj()) - np.eye(2) / 2
         qbar = np.outer(bases[k][:, m], bases[k][:, m].conj()) - np.eye(2) / 2
-        assert abs(np.trace(pbar @ qbar).real) > mub.UNBIASED_TOL
+        assert abs(np.trace(pbar @ qbar).real) > TOL
 
 
 @st.composite

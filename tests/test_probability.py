@@ -28,7 +28,7 @@ from quantinfo import (
 )
 from quantinfo.probability import (
     ENTRY_TOL,
-    SUM_TOL,
+    TOL,
     _clamp,
     _conditional_entropy,
     _entropy,
@@ -37,7 +37,6 @@ from quantinfo.probability import (
     _memo,
     _mutual_information,
 )
-from quantinfo.quantum import EIGENVALUE_TOL
 
 # Every call site of the shared clamp: build an input whose one noisy entry is
 # `entry` and whose total is 1 + drift, and return (output, that entry's output).
@@ -48,9 +47,9 @@ CLAMP_SITES = {
         as_joint_distribution([[0.3 + d - e, 0.2], [0.5, e]]), (1, 1))),
     "doubly-stochastic": (ENTRY_TOL, False, lambda e, d: _pick(
         as_doubly_stochastic([[1.0 + d - e, e], [e, 1.0 + d - e]]), (0, 1))),
-    "born": (EIGENVALUE_TOL, True, lambda e, d: _pick(
+    "born": (TOL, True, lambda e, d: _pick(
         born_probabilities(np.diag([1.0 + d - e, e]), np.eye(2)), 1)),
-    "spectrum": (EIGENVALUE_TOL, True, lambda e, d: _pick(
+    "spectrum": (TOL, True, lambda e, d: _pick(
         spectrum(np.diag([1.0 + d - e, e])), -1)),
 }
 
@@ -193,7 +192,7 @@ def reference_clamp(values, ndim, what, sum_tol=None, axis=None):
 
 
 # reference_clamp's arguments for each of _clamp's sum rules, at the windows _clamp reads
-REFERENCE_SUM_ARGS = {None: (), "total": (SUM_TOL,), "rows": (SUM_TOL, -1)}
+REFERENCE_SUM_ARGS = {None: (), "total": (TOL,), "rows": (TOL, -1)}
 
 
 def reference_at_sum_tol(values, ndim, what, sums):
@@ -231,9 +230,9 @@ def assert_same_outcome(fn, reference, *args):
 
 V = "probability vector"
 # A total of 1 + k * 2**-52 is exact, and so is its drift from 1: the largest such
-# drift below SUM_TOL and the smallest at or above it.
-INSIDE_SUM_TOL = np.floor(SUM_TOL / 2.0 ** -52) * 2.0 ** -52
-OUTSIDE_SUM_TOL = INSIDE_SUM_TOL + 2.0 ** -52
+# drift below TOL and the smallest at or above it.
+INSIDE_TOL = np.floor(TOL / 2.0 ** -52) * 2.0 ** -52
+OUTSIDE_TOL = INSIDE_TOL + 2.0 ** -52
 CLAMP_EDGES = {
     "nan": ([0.5, np.nan, 0.5], 1, V, "total"),
     "nan-and-negative": ([-0.5, np.nan, 1.5], 1, V, "total"),
@@ -249,14 +248,14 @@ CLAMP_EDGES = {
     "negative-zero-unsummed": ([[-0.0, 1.0], [0.5, -0.0]], 2, "matrix", None),
     "at-entry-tol": ([1.0 + ENTRY_TOL, -ENTRY_TOL], 1, V, "total"),
     "past-entry-tol": ([1.0 + 2 * ENTRY_TOL, -2 * ENTRY_TOL], 1, V, "total"),
-    "total-inside-sum-tol": ([0.5, 0.5 + INSIDE_SUM_TOL], 1, V, "total"),
-    "total-outside-sum-tol": ([0.5, 0.5 + OUTSIDE_SUM_TOL], 1, V, "total"),
-    "table-inside-sum-tol": ([[0.25, 0.25], [0.25, 0.25 + INSIDE_SUM_TOL]], 2,
+    "total-inside-sum-tol": ([0.5, 0.5 + INSIDE_TOL], 1, V, "total"),
+    "total-outside-sum-tol": ([0.5, 0.5 + OUTSIDE_TOL], 1, V, "total"),
+    "table-inside-sum-tol": ([[0.25, 0.25], [0.25, 0.25 + INSIDE_TOL]], 2,
                              "joint probability table", "total"),
-    "table-outside-sum-tol": ([[0.25, 0.25], [0.25, 0.25 + OUTSIDE_SUM_TOL]], 2,
+    "table-outside-sum-tol": ([[0.25, 0.25], [0.25, 0.25 + OUTSIDE_TOL]], 2,
                               "joint probability table", "total"),
-    "rows-inside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + INSIDE_SUM_TOL]], 2, V, "rows"),
-    "rows-outside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + OUTSIDE_SUM_TOL]], 2, V, "rows"),
+    "rows-inside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + INSIDE_TOL]], 2, V, "rows"),
+    "rows-outside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + OUTSIDE_TOL]], 2, V, "rows"),
     "rows-sum-to-one-together": ([[0.25, 0.25], [0.25, 0.25]], 2, V, "rows"),
     "rows-one-drifts": ([[0.5, 0.5], [0.7, 0.7], [0.2, 0.8]], 2, V, "rows"),
     "rows-one-nan": ([[0.5, 0.5], [np.nan, 1.0]], 2, V, "rows"),

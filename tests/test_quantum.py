@@ -33,8 +33,8 @@ from quantinfo import (
     total_information,
     von_neumann_entropy,
 )
-from quantinfo.probability import _checked
-from quantinfo.quantum import EIGENVALUE_TOL, HERMITIAN_TOL, TRACE_TOL, _check_matrices
+from quantinfo.probability import TOL, _checked
+from quantinfo.quantum import _check_matrices
 from test_probability import assert_same_outcome, outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
@@ -145,6 +145,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             bloch_state([0.8, 0.8, 0.8])
 
+    @pytest.mark.parametrize("length, accepted", [
+        (1.0 + TOL, True), (float(np.nextafter(1.0 + TOL, 2.0)), False)], ids=["at-tol", "past-tol"])
+    def test_bloch_length_edge(self, length, accepted):
+        # a length past 1 by at most TOL passes, as every deviation is judged
+        for axis in np.eye(3):
+            if accepted:
+                assert np.trace(bloch_state(length * axis)).real == 1.0
+            else:
+                with pytest.raises(ValidationError) as caught:
+                    bloch_state(length * axis)
+                assert str(caught.value) == f"Bloch vector has length {length!r} > 1"
+
     def test_bloch_round_trip(self):
         r = [0.3, -0.2, 0.4]
         assert np.allclose(bloch_vector(bloch_state(r)), r, atol=1e-12)
@@ -203,8 +215,7 @@ class TestValidationMemo:
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         arr = (random_basis if kind == "basis" else random_density)(n, seed=seed)
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        tol = data.draw(st.sampled_from([HERMITIAN_TOL, TRACE_TOL, EIGENVALUE_TOL]))
-        arr[i, j] += data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6])) * tol
+        arr[i, j] += data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6])) * TOL
         want = outcome(_check_matrices, arr.copy(), 2, kind)[0]
         results = [outcome(validate, arr)[0] for _ in range(2)]
         for got in results:
@@ -234,21 +245,21 @@ def reference_check_matrices(arr, ndim, kind, tol):
     if kind == "density":
         traces = np.trace(arr, axis1=-2, axis2=-1).real
         drift = abs(traces - 1.0)
-        if np.count_nonzero(drift > TRACE_TOL):
+        if np.count_nonzero(drift > TOL):
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
         arr = arr / traces[..., None, None]
         smallest = np.linalg.eigvalsh(arr)[..., 0]
-        if np.count_nonzero(smallest < -EIGENVALUE_TOL):
+        if np.count_nonzero(smallest < -TOL):
             raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
     return arr
 
 
 def reference_at_hermitian_tol(arr, ndim, kind):
-    return reference_check_matrices(arr, ndim, kind, HERMITIAN_TOL)
+    return reference_check_matrices(arr, ndim, kind, TOL)
 
 
 INF, NAN = np.inf, np.nan
-PAST_HERMITIAN_TOL = np.nextafter(HERMITIAN_TOL, 1.0)
+PAST_TOL = np.nextafter(TOL, 1.0)
 MATRIX_EDGES = {
     "nan-entry": ([[0.5, NAN], [0.0, 0.5]], 2),
     "inf-off-diagonal": ([[0.5, INF], [0.0, 0.5]], 2),
@@ -264,10 +275,10 @@ MATRIX_EDGES = {
     "stack-one-skew": ([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], 3),
     "stack-one-trace": ([np.eye(2) / 2, np.eye(2)], 3),
     "not-hermitian": ([[0.5, 0.1], [0.0, 0.5]], 2),
-    "skew-at-tol": ([[0.5, HERMITIAN_TOL], [0.0, 0.5]], 2),
-    "skew-past-tol": ([[0.5, PAST_HERMITIAN_TOL], [0.0, 0.5]], 2),
-    "gram-at-tol": ([[1.0, HERMITIAN_TOL], [0.0, 1.0]], 2),
-    "gram-past-tol": ([[1.0, PAST_HERMITIAN_TOL], [0.0, 1.0]], 2),
+    "skew-at-tol": ([[0.5, TOL], [0.0, 0.5]], 2),
+    "skew-past-tol": ([[0.5, PAST_TOL], [0.0, 0.5]], 2),
+    "gram-at-tol": ([[1.0, TOL], [0.0, 1.0]], 2),
+    "gram-past-tol": ([[1.0, PAST_TOL], [0.0, 1.0]], 2),
     "negative-zero": ([[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]], 2),
     "trace-off": ([[0.6, 0.0], [0.0, 0.6]], 2),
     "trace-noise": ([[0.5 + 4e-10, 0.0], [0.0, 0.5]], 2),
@@ -295,7 +306,7 @@ def assert_huge_outcome(arr, ndim, kind):
         return
     wide = arr.astype(np.clongdouble)  # no overflow in the reference arithmetic
     adjoint = wide.conj().swapaxes(-1, -2)
-    if kind != "hermitian" or np.abs(wide - adjoint).max() > HERMITIAN_TOL:
+    if kind != "hermitian" or np.abs(wide - adjoint).max() > TOL:
         assert got[0] is ValidationError
         return
     assert np.isfinite(got).all()
@@ -457,6 +468,16 @@ class TestPurityAndTotalInformation:
         rho = random_density(4, seed=50)
         assert not is_pure(rho)
         assert 0.0 <= total_information(rho) < 1 - 1 / 4
+
+    @pytest.mark.parametrize("coherence, pure", [(2.0 ** -27, True), (2.0 ** -28, False)],
+                             ids=["at-tol", "past-tol"])
+    def test_purity_edge(self, coherence, pure):
+        # 1 - purity is 9007199 * 2**-53, the last multiple of 2**-53 at or below TOL, then
+        # the next one; the first passes as every deviation within TOL does
+        drift = 4503600 * 2.0 ** -53
+        rho = np.array([[1.0 - drift, coherence], [coherence, drift]])
+        assert 1.0 - purity(rho) == (9007199 if pure else 9007200) * 2.0 ** -53
+        assert is_pure(rho) == pure
 
     def test_distance_to_maximally_mixed_squared(self):
         for i in range(10):
