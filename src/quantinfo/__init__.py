@@ -37,7 +37,6 @@ from .quantum import (
     bloch_state,
     bloch_vector,
     born_probabilities,
-    computational_basis,
     hs_distance,
     hs_inner_product,
     is_pure,
@@ -46,7 +45,6 @@ from .quantum import (
     purity,
     random_basis,
     random_density,
-    rotate_basis,
     smallest_eigenvalue,
     spectrum,
     spin_basis,
@@ -79,8 +77,6 @@ from .channel import (
 )
 from .entangle import (
     InfoSplit,
-    correlation_questions,
-    individual_questions,
     info_split,
     joint_eigenstate,
     pauli_product,

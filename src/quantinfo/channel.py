@@ -24,6 +24,7 @@ from .probability import (
 )
 from .quantum import (
     _as_matrices,
+    _haar_basis,
     _spectrum,
     PAULI_X,
     PAULI_Y,
@@ -41,6 +42,11 @@ _GRID_BLOCK_WEIGHTS = 2**14  # Born weights the qubit search scores at once
 _GRID_MAX_WEIGHTS = 2**24    # Born weights one qubit search may score: up to 119 letters
 HILL_CLIMB_RESTARTS = 8  # random starting bases of the search above dimension 2
 HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
+# Each of the restarts x (steps + 1) bases the hill climb scores costs about (letters + 4)(n^3 + 128)
+# operations, fitted to measured times: letters x n Born weights of n^2 terms, a per-letter overhead of
+# about 128 terms, and a rotation (eigh, two products) worth four letters. 2**27 admits 534 qutrit
+# letters, or n = 23 at two, each about 0.6 s on a 2-vCPU VM.
+_HILL_CLIMB_MAX_COST = 2**27
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,9 @@ def cq_ensemble(priors, states, letters=None) -> CqEnsemble:
     return CqEnsemble(names, dist, checked)
 
 
-def as_povm(effects, dim: int | None = None) -> list[np.ndarray]:
+def as_povm(effects) -> list[np.ndarray]:
     """Validate a POVM: Hermitian positive effects that sum to the identity."""
-    return list(_povm(effects, dim))
+    return list(_povm(effects, None))
 
 
 def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
@@ -138,8 +144,9 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
     in blocks of directions, so working memory stays flat in the letter
     count while time grows linearly with it, up to _GRID_MAX_WEIGHTS weights.
     Higher dimensions use seeded hill climbing over bases (HILL_CLIMB_RESTARTS
-    x HILL_CLIMB_STEPS) and report a lower bound. POVMs are excluded by
-    design; the search covers projective measurements only.
+    x HILL_CLIMB_STEPS) and report a lower bound; an ensemble whose climb would
+    cost more than _HILL_CLIMB_MAX_COST operations, counted in letters and in
+    dimension, is rejected before any scoring. POVMs are excluded by design.
     """
     if not (_is_int(seed) and seed >= 0):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -151,6 +158,11 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
         direction = _best_qubit_direction(ensemble)
         effects = tuple(basis_projectors(spin_basis(direction)))
         return AccessibleInfo(measured_information(ensemble, effects), effects, "grid")
+    n = ensemble.dim
+    cost = HILL_CLIMB_RESTARTS * (HILL_CLIMB_STEPS + 1) * (ensemble.size + 4) * (n**3 + 128)
+    if cost > _HILL_CLIMB_MAX_COST:
+        raise ValidationError(f"{ensemble.size} letters in dimension {n} need {cost} hill-climb operations, "
+                              f"more than the search's cap of {_HILL_CLIMB_MAX_COST}")
     basis = _hill_climb_basis(ensemble, seed)
     effects = tuple(basis_projectors(basis))
     return AccessibleInfo(measured_information(ensemble, effects), effects, "hill-climb")
@@ -286,9 +298,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int) -> np.ndarray:
     best_basis: np.ndarray | None = None
     for child in seeds:
         rng = np.random.default_rng(child)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(g)
-        basis = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        basis = _haar_basis(rng, n)
         current = score(basis)
         step = 0.5
         for _ in range(HILL_CLIMB_STEPS):

@@ -99,26 +99,6 @@ def proposition_information(rho, question) -> float:
     return float(_question_information(state, q))
 
 
-def individual_questions() -> tuple[tuple[str, np.ndarray], ...]:
-    """The six single-spin questions: spin k up along w, for k in {1,2}, w in {x,y,z}."""
-    eye = np.eye(2, dtype=complex)
-    out = []
-    for axis in "xyz":
-        up = (eye + PAULIS[axis]) / 2.0
-        out.append((f"spin 1 up along {axis}", np.kron(up, eye)))
-        out.append((f"spin 2 up along {axis}", np.kron(eye, up)))
-    return tuple(out)
-
-
-def correlation_questions() -> tuple[tuple[str, np.ndarray], ...]:
-    """The three joint questions: do the spins agree along a common axis?"""
-    eye4 = np.eye(4, dtype=complex)
-    return tuple(
-        (f"spins agree along {axis}",
-         (eye4 + np.kron(PAULIS[axis], PAULIS[axis])) / 2.0)
-        for axis in "xyz")
-
-
 def info_split(rho) -> InfoSplit:
     """Split a two-qubit state's question information into individual and correlation parts.
 
@@ -142,10 +122,18 @@ def info_split(rho) -> InfoSplit:
 @functools.cache
 def _question_stack() -> tuple[tuple[str, ...], np.ndarray]:
     """The nine questions' labels and a read-only (9, 4, 4) stack of their projectors, built on first use."""
-    labels, projectors = zip(*individual_questions(), *correlation_questions())
+    eye = np.eye(2, dtype=complex)
+    labels, projectors = [], []
+    for axis in "xyz":
+        up = (eye + PAULIS[axis]) / 2.0
+        labels += [f"spin 1 up along {axis}", f"spin 2 up along {axis}"]
+        projectors += [np.kron(up, eye), np.kron(eye, up)]
+    for axis in "xyz":
+        labels.append(f"spins agree along {axis}")
+        projectors.append((np.eye(4, dtype=complex) + np.kron(PAULIS[axis], PAULIS[axis])) / 2.0)
     stack = np.stack(projectors)
     stack.flags.writeable = False
-    return labels, stack
+    return tuple(labels), stack
 
 
 def _question_information(state: np.ndarray, questions: np.ndarray):

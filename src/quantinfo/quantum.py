@@ -93,29 +93,6 @@ def bloch_vector(rho) -> np.ndarray:
     return np.array([float(np.trace(state @ s).real) for s in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
-def computational_basis(n: int) -> np.ndarray:
-    _check_size(n, "dimension")
-    return np.eye(n, dtype=complex)
-
-
-def rotate_basis(axis: str, angle: float) -> np.ndarray:
-    """Eigenbasis of the spin observable tilted by `angle` from z toward `axis`.
-
-    axis "x" gives the direction (sin a, 0, cos a), "y" gives
-    (0, sin a, cos a), and "z" stays at (0, 0, 1) for every angle. The +1
-    eigenvector is the first column; each column's first nonzero component is
-    made real and positive.
-    """
-    directions = {
-        "x": np.array([np.sin(angle), 0.0, np.cos(angle)]),
-        "y": np.array([0.0, np.sin(angle), np.cos(angle)]),
-        "z": np.array([0.0, 0.0, 1.0]),
-    }
-    if axis not in directions:
-        raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
-    return spin_basis(directions[axis])
-
-
 def spin_basis(direction) -> np.ndarray:
     """Eigenbasis of n.sigma for a unit Bloch direction n, +1 eigenvector first."""
     n_hat = np.asarray(direction, dtype=float)
@@ -210,11 +187,14 @@ def random_density(n: int, seed: int, rank: int | None = None) -> np.ndarray:
 def random_basis(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random orthonormal basis (QR with phase fixing)."""
     _check_size(n, "dimension")
-    rng = np.random.default_rng(seed)
+    return _haar_basis(np.random.default_rng(seed), n)
+
+
+def _haar_basis(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random n x n unitary from rng: QR of a complex Ginibre matrix, R's diagonal phases moved into Q."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:

@@ -328,6 +328,17 @@ class TestChannelCommands:
         assert (code, out) == (1, "")
         assert err.startswith("error: 120 qubit letters need 16858800 Born weights")
 
+    def test_accessible_rejects_qutrit_letters_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        def unreachable(ensemble, seed):
+            raise AssertionError("the hill climb ran")
+
+        monkeypatch.setattr(quantinfo.channel, "_hill_climb_basis", unreachable)
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps(ensemble_to_json(random_ensemble(3, 535, seed=5))))
+        code, out, err = cli(capsys, "accessible", "--ensemble", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 535 letters in dimension 3 need 134340360 hill-climb operations")
+
     def test_ensemble_with_non_integer_dim_rejected(self, capsys, tmp_path):
         doc = ensemble_to_json(random_ensemble(2, 2, seed=5))
         doc["states"][0]["dim"] = "abc"

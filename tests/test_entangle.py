@@ -6,9 +6,7 @@ import pytest
 from quantinfo import (
     InfoSplit,
     ValidationError,
-    correlation_questions,
     hs_distance,
-    individual_questions,
     info_split,
     joint_eigenstate,
     pauli_product,
@@ -17,6 +15,7 @@ from quantinfo import (
     random_density,
     total_information,
 )
+from quantinfo.entangle import _question_stack
 
 BELL_PHI_PLUS = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
 PLUS_PLUS = pure_state(np.array([1, 1, 1, 1]) / 2)
@@ -124,35 +123,28 @@ class TestPropositionInformation:
 
 class TestQuestionSets:
     def test_individual_set(self):
-        questions = individual_questions()
-        assert len(questions) == 6
-        labels = [label for label, _ in questions]
-        assert "spin 1 up along x" in labels
-        assert "spin 2 up along z" in labels
-        for _, q in questions:
+        labels, stack = _question_stack()
+        assert labels[:6] == tuple(f"spin {k} up along {axis}" for axis in "xyz" for k in (1, 2))
+        for q in stack[:6]:
             assert np.allclose(q @ q, q, atol=1e-12)
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
 
     def test_correlation_set(self):
-        questions = correlation_questions()
-        assert len(questions) == 3
-        for _, q in questions:
+        labels, stack = _question_stack()
+        assert labels[6:] == ("spins agree along x", "spins agree along y", "spins agree along z")
+        assert stack.shape == (9, 4, 4)
+        for q in stack[6:]:
             assert np.allclose(q @ q, q, atol=1e-12)
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
 
-    def test_each_call_returns_fresh_writable_projectors(self):
-        before = info_split(BELL_PHI_PLUS)
-        first = individual_questions() + correlation_questions()
-        for _, q in first:
-            assert q.flags.writeable
-            q[:] = 0.0
-        second = individual_questions() + correlation_questions()
-        for (_, old), (_, new) in zip(first, second):
-            assert new.flags.writeable and np.any(new) and not np.shares_memory(old, new)
-        assert info_split(BELL_PHI_PLUS) == before
+    def test_stack_is_read_only(self):
+        _, stack = _question_stack()
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
 
     def test_correlation_projector_contains_bell_state(self):
-        for _, q in correlation_questions():
+        for q in _question_stack()[1][6:]:
             overlap = np.einsum("ij,ji->", BELL_PHI_PLUS, q).real
             assert overlap == pytest.approx(1.0, abs=1e-12) or overlap == pytest.approx(
                 0.0, abs=1e-12)
@@ -191,7 +183,7 @@ class TestInfoSplit:
     def test_terms_match_one_question_at_a_time(self):
         # the nine questions are asked in one batched einsum; each term keeps the bits
         # of asking its question alone
-        questions = individual_questions() + correlation_questions()
+        questions = tuple(zip(*_question_stack()))
         for seed in range(50):
             rho = random_density(4, seed=seed, rank=1 + seed % 4)
             split = info_split(rho)

@@ -10,6 +10,7 @@ call the boundary clamp again.
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,31 @@ def test_one_verdict_window():
         ("probability", "TOL"), ("probability", "ENTRY_TOL"),
         ("entangle", "EIGENVALUE_MATCH_TOL"), ("cli", "CLI_SUM_TOL")}
     assert {name for _, name in imported if window(name)} == {"TOL"}
+
+
+def test_public_surface_is_pinned():
+    # every public name earns its place (README, Library); adding or removing one edits this set
+    exported = {name for name, value in vars(quantinfo).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {
+        "AccessibleInfo", "CqEnsemble", "DeviationReport", "InfoSplit", "PrefixCode",
+        "TypicalSetReport", "ValidationError", "WrongBasisReport",
+        "accessible_information", "apply_doubly_stochastic", "as_basis", "as_density",
+        "as_distribution", "as_doubly_stochastic", "as_hermitian", "as_joint_distribution",
+        "as_povm", "basis_projectors", "bloch_state", "bloch_vector", "block_question_rate",
+        "born_probabilities", "build_mubs", "conditional_entropy", "cq_ensemble",
+        "ensemble_from_json", "ensemble_to_json", "grouping_residual", "holevo_chi",
+        "hs_distance", "hs_inner_product", "hyperplane_orthogonality", "info_split",
+        "information_by_basis", "information_sum", "is_pure", "joint_distribution",
+        "joint_eigenstate", "load_ensemble", "load_state", "luders_update", "majorizes",
+        "measured_information", "mutual_information", "pauli_product",
+        "proposition_information", "pure_state", "purity", "quadratic_information",
+        "question_strategy", "random_basis", "random_density", "random_distribution",
+        "random_doubly_stochastic", "random_ensemble", "random_povm", "reconstruct",
+        "shannon_entropy", "smallest_eigenvalue", "specification_information", "spectrum",
+        "spin_basis", "state_from_json", "state_to_json", "surprise", "total_information",
+        "typical_set", "verify_unbiased", "von_neumann_entropy", "wrong_basis_demo",
+    }
 
 
 def test_kernels_raise_nothing():

@@ -14,7 +14,6 @@ from quantinfo import (
     bloch_vector,
     born_probabilities,
     build_mubs,
-    computational_basis,
     hs_distance,
     hs_inner_product,
     is_pure,
@@ -25,7 +24,6 @@ from quantinfo import (
     quadratic_information,
     random_basis,
     random_density,
-    rotate_basis,
     shannon_entropy,
     smallest_eigenvalue,
     spectrum,
@@ -386,7 +384,7 @@ class TestBornProbabilities:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            born_probabilities(random_density(3, seed=1), computational_basis(2))
+            born_probabilities(random_density(3, seed=1), np.eye(2, dtype=complex))
 
 
 class TestLudersUpdate:
@@ -514,19 +512,14 @@ class TestHilbertSchmidt:
 
 class TestBases:
     def test_rotate_basis_z_is_computational(self):
-        assert np.allclose(rotate_basis("z", 0.0), np.eye(2), atol=1e-12)
-        assert np.allclose(rotate_basis("z", 1.3), np.eye(2), atol=1e-12)
+        assert np.allclose(spin_basis([0, 0, 1]), np.eye(2), atol=1e-12)
 
     def test_rotate_basis_to_x_gives_plus_minus(self):
-        basis = rotate_basis("x", np.pi / 2)
+        basis = spin_basis([1, 0, 0])
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
         assert np.allclose(basis[:, 0], plus, atol=1e-12)
         assert np.allclose(basis[:, 1], minus, atol=1e-12)
-
-    def test_rotate_basis_bad_axis(self):
-        with pytest.raises(ValidationError):
-            rotate_basis("q", 0.1)
 
     def test_spin_basis_diagonalizes_the_observable(self):
         rng = np.random.default_rng(65)
