@@ -43,9 +43,9 @@ _GRID_MAX_WEIGHTS = 2**24    # Born weights one qubit search may score: up to 11
 HILL_CLIMB_RESTARTS = 8  # random starting bases of the search above dimension 2
 HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
 # Each of the restarts x (steps + 1) bases the hill climb scores costs about (letters + 4)(n^3 + 128)
-# operations: letters x n Born weights of n^2 terms, a per-letter overhead of about 128 terms, and a
-# rotation (eigh, two products) worth four letters. The count is conservative: 2**27 admits 534 qutrit
-# letters or n = 23 at two, now 0.4-0.7 s on a 2-vCPU VM against 0.6-1.1 s for the scorer it was fitted to.
+# operations, fitted to measured times: letters x n Born weights of n^2 terms, a per-letter overhead of
+# about 128 terms, and a rotation (eigh, two products) worth four letters. 2**27 admits 534 qutrit
+# letters, or n = 23 at two, each about 0.6 s on a 2-vCPU VM.
 _HILL_CLIMB_MAX_COST = 2**27
 
 
@@ -298,7 +298,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int) -> np.ndarray:
 
     def score(basis: np.ndarray) -> float:
         # p(a, i) = prior_a <u_i| rho_a |u_i>, computed without revalidation
-        born = np.einsum("ji,aji->ai", basis.conj(), states @ basis).real
+        born = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
         return _mutual_information(_joint(priors, born))
 
     seeds = np.random.SeedSequence(seed).spawn(HILL_CLIMB_RESTARTS)

@@ -34,7 +34,7 @@ from quantinfo import (
 from quantinfo import channel
 from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
 from quantinfo.probability import _mutual_information
-from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _haar_basis
+from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
 
 ZERO = pure_state([1, 0])
 ONE = pure_state([0, 1])
@@ -393,43 +393,6 @@ class TestHillClimbCap:
         with pytest.raises(ValidationError) as caught:
             accessible_information(random_ensemble(n, letters, seed=1601))
         assert str(caught.value) == message + ", more than the search's cap of 134217728"
-
-
-def reference_hill_climb_basis(ensemble, seed):
-    """The hill climb with each basis scored by one three-operand einsum."""
-    def score(basis):
-        born = np.einsum("ji,ajk,ki->ai", basis.conj(), ensemble.states, basis).real
-        return _mutual_information(_joint(ensemble.priors, born))
-
-    best_value, best_basis = -np.inf, None
-    for child in np.random.SeedSequence(seed).spawn(channel.HILL_CLIMB_RESTARTS):
-        rng = np.random.default_rng(child)
-        basis = _haar_basis(rng, ensemble.dim)
-        current = score(basis)
-        step = 0.5
-        for _ in range(channel.HILL_CLIMB_STEPS):
-            g = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
-            values, vectors = np.linalg.eigh(step * ((g + g.conj().T) / 2.0))
-            candidate = vectors @ np.diag(np.exp(1j * values)) @ vectors.conj().T @ basis
-            candidate_value = score(candidate)
-            if candidate_value > current:
-                basis, current = candidate, candidate_value
-            else:
-                step *= 0.95
-        if current > best_value:
-            best_value, best_basis = current, basis
-    return best_basis
-
-
-class TestHillClimbScorer:
-    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
-    @pytest.mark.parametrize("letters", [2, 3])
-    def test_matches_three_operand_scorer(self, n, letters):
-        ens = random_ensemble(n, letters, seed=1700 + n)
-        effects = tuple(basis_projectors(reference_hill_climb_basis(ens, seed=5)))
-        result = accessible_information(ens, seed=5)
-        assert result.value == measured_information(ens, effects)
-        assert all(np.array_equal(a, b) for a, b in zip(result.effects, effects, strict=True))
 
 
 class TestWrongBasisDemo:
