@@ -155,17 +155,16 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
         if weights > _GRID_MAX_WEIGHTS:
             raise ValidationError(f"{ensemble.size} qubit letters need {weights} Born weights, more than "
                                   f"the search's cap of {_GRID_MAX_WEIGHTS}")
-        direction = _best_qubit_direction(ensemble)
-        effects = tuple(basis_projectors(spin_basis(direction)))
-        return AccessibleInfo(measured_information(ensemble, effects), effects, "grid")
-    n = ensemble.dim
-    cost = HILL_CLIMB_RESTARTS * (HILL_CLIMB_STEPS + 1) * (ensemble.size + 4) * (n**3 + 128)
-    if cost > _HILL_CLIMB_MAX_COST:
-        raise ValidationError(f"{ensemble.size} letters in dimension {n} need {cost} hill-climb operations, "
-                              f"more than the search's cap of {_HILL_CLIMB_MAX_COST}")
-    basis = _hill_climb_basis(ensemble, seed)
+        basis, method = spin_basis(_best_qubit_direction(ensemble)), "grid"
+    else:
+        n = ensemble.dim
+        cost = HILL_CLIMB_RESTARTS * (HILL_CLIMB_STEPS + 1) * (ensemble.size + 4) * (n**3 + 128)
+        if cost > _HILL_CLIMB_MAX_COST:
+            raise ValidationError(f"{ensemble.size} letters in dimension {n} need {cost} hill-climb operations, "
+                                  f"more than the search's cap of {_HILL_CLIMB_MAX_COST}")
+        basis, method = _hill_climb_basis(ensemble, seed), "hill-climb"
     effects = tuple(basis_projectors(basis))
-    return AccessibleInfo(measured_information(ensemble, effects), effects, "hill-climb")
+    return AccessibleInfo(measured_information(ensemble, effects), effects, method)
 
 
 def wrong_basis_demo(theta: float, priors=(0.5, 0.5)) -> WrongBasisReport:

@@ -25,8 +25,6 @@ from . import channel, coding, entangle, mub, probability, quantum, selftest
 from .errors import ValidationError
 from .serialize import load_ensemble, load_state, state_to_json
 
-CLI_SUM_TOL = 1e-6  # looser than the library window; renormalizes with a warning
-
 
 def main() -> None:
     sys.exit(run())
@@ -183,15 +181,9 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _cli_distribution(text: str, what: str = "probabilities") -> list[float]:
-    """Parse a probability vector with the CLI's looser normalization window."""
-    values = _parse_floats(text, what)
-    total = sum(values)
-    if abs(total - 1.0) > CLI_SUM_TOL:
-        raise ValidationError(f"{what} sum to {total!r}, more than {CLI_SUM_TOL} away from 1")
-    if abs(total - 1.0) > 1e-12:
-        print(f"warning: normalizing {what} (sum = {total!r})", file=sys.stderr)
-    return [v / total for v in values]
+def _cli_distribution(text: str, what: str = "probability vector") -> list[float]:
+    """Parse a probability vector and check it by as_distribution's rule, naming it what."""
+    return probability._clamp(_parse_floats(text, "probabilities"), 1, what, "total").tolist()
 
 
 def _resolve_state(args) -> np.ndarray:
@@ -308,7 +300,7 @@ def _cmd_accessible(args):
 
 
 def _cmd_wrongbasis(args):
-    priors = _cli_distribution(args.priors, "priors")
+    priors = _cli_distribution(args.priors, "prior vector")
     report = channel.wrong_basis_demo(args.theta, priors)
     return [{"theta": args.theta, "priors": priors,
              "joint": [list(map(float, row)) for row in report.joint]},

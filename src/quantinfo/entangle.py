@@ -18,8 +18,6 @@ from .errors import ValidationError
 from .probability import TOL, _quadratic, _renormalize
 from .quantum import PAULIS, _fix_column_phases, _hermitian_pair, as_density, as_hermitian, pure_state
 
-EIGENVALUE_MATCH_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class InfoSplit:
@@ -59,14 +57,14 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
         raise ValidationError("answers must be a pair of eigenvalues") from None
 
     values_a, vectors_a = np.linalg.eigh(a)
-    keep = np.abs(values_a - want_a) < EIGENVALUE_MATCH_TOL
+    keep = np.abs(values_a - want_a) <= TOL
     if not keep.any():
         raise ValidationError(f"{want_a} is not an eigenvalue of the first observable")
     subspace = vectors_a[:, keep]
 
     restricted = subspace.conj().T @ b @ subspace
     values_b, vectors_b = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
-    keep_b = np.abs(values_b - want_b) < EIGENVALUE_MATCH_TOL
+    keep_b = np.abs(values_b - want_b) <= TOL
     dim = int(keep_b.sum())
     if dim == 0:
         raise ValidationError(

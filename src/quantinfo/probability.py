@@ -249,7 +249,7 @@ def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
     """np.asarray, or a C-ordered copy, that rejects a ragged list such as matrices of two sizes."""
     try:
         return np.array(values, dtype=dtype, order="C") if copy else np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ValidationError(f"{what}: mismatched dimensions or non-numeric entries") from exc
 
 

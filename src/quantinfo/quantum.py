@@ -74,7 +74,7 @@ def _unit(v: np.ndarray, what: str) -> np.ndarray:
 
 def bloch_state(r) -> np.ndarray:
     """Qubit density operator with the given Bloch vector (|r| <= 1)."""
-    vec = np.asarray(r, dtype=float)
+    vec = _as_array(r, float, "Bloch vector")
     if vec.shape != (3,) or not np.all(np.isfinite(vec)):
         raise ValidationError("expected a finite Bloch vector of length 3")
     with np.errstate(over="ignore"):  # a huge entry overflows to inf, which fails below
@@ -95,7 +95,7 @@ def bloch_vector(rho) -> np.ndarray:
 
 def spin_basis(direction) -> np.ndarray:
     """Eigenbasis of n.sigma for a unit Bloch direction n, +1 eigenvector first."""
-    n_hat = np.asarray(direction, dtype=float)
+    n_hat = _as_array(direction, float, "direction vector")
     if n_hat.shape != (3,) or not np.all(np.isfinite(n_hat)):
         raise ValidationError("expected a finite direction vector of length 3")
     n_hat = _unit(n_hat, "direction vector")

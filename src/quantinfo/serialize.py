@@ -14,12 +14,13 @@ import numpy as np
 
 from .channel import CqEnsemble, cq_ensemble
 from .errors import ValidationError
+from .probability import _as_array
 from .quantum import bloch_state
 
 
 def state_to_json(matrix) -> dict:
     """Encode a square complex matrix as a state document (matrix form)."""
-    arr = np.asarray(matrix, dtype=complex)
+    arr = _as_array(matrix, complex, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValidationError("expected a nonempty square matrix")
     return {
@@ -33,27 +34,14 @@ def state_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ValidationError("state document must be a JSON object")
     if "bloch" in doc:
-        vec = doc["bloch"]
-        if not isinstance(vec, list) or len(vec) != 3:
-            raise ValidationError('"bloch" must be a list of 3 numbers')
-        try:
-            vec = [float(x) for x in vec]
-        except (TypeError, ValueError):
-            raise ValidationError('"bloch" entries must be numbers') from None
-        arr = bloch_state(vec)
+        arr = bloch_state(doc["bloch"])
     elif "matrix" not in doc:
         raise ValidationError('state document needs a "matrix" or "bloch" field')
     else:
-        rows = doc["matrix"]
-        if not isinstance(rows, list) or not rows:
-            raise ValidationError('"matrix" must be a nonempty list of rows')
-        try:
-            arr = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in rows])
-        except (TypeError, ValueError, IndexError):
-            raise ValidationError("matrix entries must be [re, im] pairs") from None
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("matrix must be square")
+        pairs = _as_array(doc["matrix"], float, "matrix", copy=True)
+        if pairs.ndim != 3 or pairs.shape[1:] != (pairs.shape[0], 2) or pairs.size == 0:
+            raise ValidationError('"matrix" must be a nonempty square list of rows of [re, im] pairs')
+        arr = pairs.view(complex)[..., 0]  # each pair's two floats, bit for bit
     dim = doc.get("dim", arr.shape[0])
     if type(dim) is not int:  # a JSON true is a Python bool, an int subclass
         raise ValidationError(f'"dim" must be an integer, got {dim!r}')

@@ -121,6 +121,11 @@ class TestPovmValidation:
         with pytest.raises(ValidationError, match="mismatched dimensions"):
             as_povm([np.eye(2) / 2, np.eye(3) / 3])
 
+    @pytest.mark.parametrize("measure", [joint_distribution, measured_information])
+    def test_effects_of_another_dimension_rejected(self, measure):
+        with pytest.raises(ValidationError, match="^effects are 3-dimensional, expected 2$"):
+            measure(ZERO_PLUS, basis_projectors(np.eye(3, dtype=complex)))
+
     def test_random_povm_is_valid_and_seeded(self):
         effects = random_povm(3, 4, seed=5)
         assert len(effects) == 4

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quantinfo
 import quantinfo.cli as cli_module
 from quantinfo import (
-    bloch_state, cq_ensemble, ensemble_to_json, pure_state, random_ensemble, state_to_json)
+    ValidationError, as_distribution, bloch_state, cq_ensemble, ensemble_to_json, pure_state,
+    random_ensemble, state_to_json)
 from quantinfo.cli import build_parser, run
 
 # one accepted argument list per subcommand
@@ -133,24 +137,71 @@ def test_rejected_arguments_name_their_reason(capsys, argv, message):
 
 
 class TestDistributionWindow:
-    def test_small_drift_normalized_with_warning(self, capsys):
-        code, payload, err = cli_json(capsys, "entropy", "--dist", "0.5000001,0.5")
-        assert code == 0
-        assert "warning: normalizing" in err
-        assert sum(payload["dist"]) == pytest.approx(1.0, abs=1e-15)
+    def test_small_drift_rejected(self, capsys):
+        # the command line has no window of its own: 1e-7 off 1 is past TOL
+        assert cli(capsys, "entropy", "--dist", "0.5000001,0.5") == (
+            1, "", "error: probability vector sums to 1.0000000999999998, not 1\n")
 
     def test_exact_input_gets_no_warning(self, capsys):
         _, _, err = cli(capsys, "entropy", "--dist", "0.5,0.5")
         assert err == ""
 
     def test_large_drift_rejected(self, capsys):
-        code, _, err = cli(capsys, "entropy", "--dist", "0.5,0.6")
-        assert code == 1
-        assert "away from 1" in err
+        assert cli(capsys, "entropy", "--dist", "0.5,0.6") == (
+            1, "", "error: probability vector sums to 1.1, not 1\n")
 
     def test_unparseable_rejected(self, capsys):
         code, _, _ = cli(capsys, "entropy", "--dist", "0.5,zebra")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["wrongbasis", "--theta", "1", "--priors", "0.5,0.6"], "prior vector sums to 1.1, not 1"),
+        (["majorize", "--p", "1,0", "--q", "0.5,0.4"], "q sums to 0.9, not 1"),
+        (["reconstruct", "--probs", "1,0;0.5,0.6;0.5,0.5"],
+         "outcome distribution 1 sums to 1.1, not 1"),
+        (["entropy", "--dist=-0.1,1.1"], "negative probability vector entry: min -1.000e-01"),
+        (["entropy", "--dist", "nan,1"], "probability vector entries must be finite"),
+    ], ids=["priors", "majorize-q", "reconstruct-group", "negative", "nan"])
+    def test_rejection_names_the_vector(self, capsys, argv, message):
+        assert cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def run_quietly(*argv):
+    """cli.run in process with stdout and stderr captured, for use inside hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def cli_vectors(draw):
+    """Float lists near the simplex: sums just inside and just outside TOL, tiny negatives, NaN."""
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
+    values = [w / sum(weights) for w in weights]
+    values[0] += draw(st.sampled_from(
+        [0.0, 5e-10, -5e-10, 9.9e-10, -9.9e-10, 1.1e-9, -1.1e-9, 1e-7, -1e-7, 0.1]))
+    extra = draw(st.sampled_from([[], [0.0], [-5e-13], [-1e-12], [-2e-12], [float("nan")],
+                                  [float("inf")]]))
+    position = draw(st.integers(0, len(values)))
+    return values[:position] + extra + values[position:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cli_vectors(), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+def test_property_cli_vectors_follow_the_library_rule(values):
+    # one rule: the command line accepts a vector exactly when as_distribution does,
+    # and echoes as_distribution's result bit for bit
+    try:
+        expected = as_distribution(values)
+    except ValidationError:
+        expected = None
+    code, out, err = run_quietly("entropy", f"--dist={','.join(map(repr, values))}", "--json")
+    if expected is None:
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    else:
+        assert (code, err) == (0, "")
+        assert np.array(json.loads(out)["dist"]).tobytes() == expected.tobytes()
 
 
 class TestScalarCommands:

@@ -74,6 +74,17 @@ class TestJointEigenstate:
             joint_eigenstate(np.diag([1.0, 1.0, -1.0, -1.0]),
                              np.diag([1.0, 2.0, 3.0, 4.0]), (1, 3))
 
+    @pytest.mark.parametrize("drift", [1.1e-9, 1e-8, 9.9e-7, 1.1e-6])
+    def test_answer_past_tol_is_not_an_eigenvalue(self, drift):
+        with pytest.raises(ValidationError, match="is not an eigenvalue of the first observable"):
+            joint_eigenstate(pauli_product("x", "x"), pauli_product("y", "y"), (1 + drift, 1))
+
+    def test_eigenvalues_past_tol_apart_are_not_merged(self):
+        # 1 and 1 + 1e-7 are two eigenvalues, so answer 1 picks one eigenvector
+        rho = joint_eigenstate(np.diag([1.0, 1.0 + 1e-7, -1.0, -1.0]),
+                               np.diag([1.0, 1.0, -1.0, -1.0]), (1, 1))
+        assert hs_distance(rho, pure_state([1, 0, 0, 0])) == 0.0
+
     def test_xx_yy_plus_plus_is_the_triplet_bell_state(self):
         rho = joint_eigenstate(pauli_product("x", "x"), pauli_product("y", "y"), (1, 1))
         psi_plus = pure_state(np.array([0, 1, 1, 0]) / np.sqrt(2))

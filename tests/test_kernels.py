@@ -37,6 +37,7 @@ CLAMP_CALLERS = {
     ("probability", "as_joint_distribution"),
     ("probability", "as_doubly_stochastic"),
     ("mub", "reconstruct"),
+    ("cli", "_cli_distribution"),
 }
 KERNELS = {
     ("probability", "_renormalize"),
@@ -85,7 +86,7 @@ def test_no_function_takes_a_tolerance():
 
 
 def test_one_verdict_window():
-    # every 1e-9 verdict reads probability.TOL; only windows of other sizes keep their own names
+    # every verdict reads probability.TOL; only the negative-entry clamp keeps a window of its own
     assigned, imported = set(), set()
     for path in sorted(Path(quantinfo.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -96,8 +97,7 @@ def test_one_verdict_window():
                     assigned.add((path.stem, target.id))
     window = lambda name: name == "TOL" or name.endswith(("_TOL", "THRESHOLD"))
     assert {key for key in assigned if window(key[1])} == {
-        ("probability", "TOL"), ("probability", "ENTRY_TOL"),
-        ("entangle", "EIGENVALUE_MATCH_TOL"), ("cli", "CLI_SUM_TOL")}
+        ("probability", "TOL"), ("probability", "ENTRY_TOL")}
     assert {name for _, name in imported if window(name)} == {"TOL"}
 
 

@@ -86,7 +86,8 @@ class TestValidation:
         (as_distribution, [1e308, 1e308], "probability vector sums to inf, not 1"),
         (as_joint_distribution, [[np.inf, 0.59, 1e308, 1e308], [0.25] * 4],
          "joint probability table entries must be finite"),
-    ], ids=["sum-overflows", "inf-beside-huge-entries"])
+        (as_distribution, [10**400, 0], "probability vector: mismatched dimensions or non-numeric entries"),
+    ], ids=["sum-overflows", "inf-beside-huge-entries", "int-past-float-range"])
     def test_huge_entries_rejected_without_warning(self, validate, values, message):
         assert outcome(validate, values) == ((ValidationError, message), set())
 

@@ -74,8 +74,13 @@ class TestValidation:
         (lambda: bloch_vector(np.eye(3) / 3), "Bloch vector is defined for qubit states only"),
         (lambda: spin_basis([[0.0, 0.0, 1.0]]), "expected a finite direction vector of length 3"),
         (lambda: spin_basis([0.0, 0.0, 0.0]), "direction vector has zero norm"),
+        (lambda: bloch_state(["a", 0, 0]), "Bloch vector: mismatched dimensions or non-numeric entries"),
+        (lambda: spin_basis(["a", 0, 1]),
+         "direction vector: mismatched dimensions or non-numeric entries"),
+        (lambda: spin_basis({"x": 1}), "direction vector: mismatched dimensions or non-numeric entries"),
     ], ids=["zero-vector", "bloch-length", "bloch-nan", "bloch-overflow", "bloch-of-qutrit",
-            "direction-shape", "zero-direction"])
+            "direction-shape", "zero-direction", "bloch-not-numbers", "direction-not-numbers",
+            "direction-dict"])
     def test_rejection_names_its_reason(self, call, message):
         with pytest.raises(ValidationError) as caught:
             call()

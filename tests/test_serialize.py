@@ -115,9 +115,35 @@ class TestEnsembleDocuments:
             ensemble_from_json(doc)
 
 
+class TestMatrixEntries:
+    @pytest.mark.parametrize("matrix, message", [
+        ([[[1, 0, 5]]], '"matrix" must be a nonempty square list of rows of [re, im] pairs'),
+        ([[[1, 0]]] * 2, '"matrix" must be a nonempty square list of rows of [re, im] pairs'),
+        ([[[0.5, 0], [0, 0]], [[0, 0]]], "matrix: mismatched dimensions or non-numeric entries"),
+        ([[[1, "a"]]], "matrix: mismatched dimensions or non-numeric entries"),
+    ], ids=["three-numbers", "not-square", "ragged-rows", "not-a-number"])
+    def test_rejected_matrix_names_its_reason(self, matrix, message):
+        with pytest.raises(ValidationError) as caught:
+            state_from_json({"matrix": matrix})
+        assert str(caught.value) == message
+
+    def test_pairs_keep_their_bits(self):
+        pairs = [[[0.1, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [0.9, -0.0]]]
+        rho = state_from_json({"matrix": pairs})
+        assert rho.dtype == complex
+        assert rho.tobytes() == np.array(pairs).tobytes()  # -0.0 included
+
+    def test_numeric_strings_are_numbers(self):
+        # as for "priors": the validators convert what numpy converts
+        assert np.array_equal(state_from_json({"matrix": [[["1", "0"]]]}), [[1 + 0j]])
+        assert np.array_equal(state_from_json({"bloch": ["0", "0", "1"]}), bloch_state([0, 0, 1]))
+
+
 @pytest.mark.parametrize("decode, doc, message", [
-    (state_from_json, {"matrix": []}, '"matrix" must be a nonempty list of rows'),
-    (state_from_json, {"bloch": ["a", 0, 0]}, '"bloch" entries must be numbers'),
+    (state_from_json, {"matrix": []},
+     '"matrix" must be a nonempty square list of rows of [re, im] pairs'),
+    (state_from_json, {"bloch": ["a", 0, 0]},
+     "Bloch vector: mismatched dimensions or non-numeric entries"),
     (ensemble_from_json, {"priors": [], "states": []},
      '"states" must be a nonempty list of state documents'),
 ], ids=["empty-matrix", "bloch-not-numbers", "no-states"])
