@@ -261,17 +261,12 @@ def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
     block = max(1, _GRID_BLOCK_WEIGHTS // (2 * len(bloch)))
 
     def best(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float]:
-        # no grid is built: a block's directions are products of row factors (sin, sin, cos
-        # of theta) and column factors (cos, sin, 1 of phi), the IEEE products of _direction
-        rows = np.stack([np.sin(thetas), np.sin(thetas), np.cos(thetas)])[:, :, None]
-        columns = np.stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])[:, None]
+        # no grid is built: each block's directions are sliced from the rows it covers
         top, top_k = -np.inf, 0
         for start in range(0, thetas.size * phis.size, block):
             first, skip = divmod(start, phis.size)  # the block's first row, and its column there
-            covering = rows[:, first:first + (skip + block - 1) // phis.size + 1]
-            directions = np.empty((covering.shape[1], phis.size, 3))
-            np.multiply(covering, columns, out=directions.transpose(2, 0, 1))  # long rows, not many triples
-            born = _qubit_born(bloch, directions.reshape(-1, 3)[skip:skip + block])
+            covering = thetas[first:first + (skip + block - 1) // phis.size + 1, None]
+            born = _qubit_born(bloch, _direction(covering, phis).reshape(-1, 3)[skip:skip + block])
             scores = _mutual_information(_joint(ensemble.priors, born))
             k = int(np.argmax(scores))
             if scores[k] > top:  # strict, so the first maximum wins, as in one pass

@@ -172,13 +172,13 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
+    pieces = text.split(",")
+    if not any(piece.strip() for piece in pieces):
+        raise ValidationError(f"{what} is empty")
     try:
-        values = [float(piece) for piece in text.split(",") if piece.strip()]
+        return [float(piece) for piece in pieces]  # a blank piece beside a number fails here
     except ValueError:
         raise ValidationError(f"could not parse {what}: {text!r}") from None
-    if not values:
-        raise ValidationError(f"{what} is empty")
-    return values
 
 
 def _cli_distribution(text: str, what: str = "probability vector") -> list[float]:
@@ -257,11 +257,12 @@ def _cmd_mub_sum(args):
 
 
 def _cmd_reconstruct(args):
-    groups = [piece for piece in args.probs.split(";") if piece.strip()]
-    dists = [_cli_distribution(piece, f"outcome distribution {i}")
-             for i, piece in enumerate(groups)]
-    if not dists:
+    groups = args.probs.split(";")
+    if not any(piece.strip() for piece in groups):
         raise ValidationError("no outcome distributions given")
+    if not all(piece.strip() for piece in groups):
+        raise ValidationError(f"could not parse outcome distributions: {args.probs!r}")
+    dists = [_cli_distribution(piece, f"outcome distribution {i}") for i, piece in enumerate(groups)]
     # count before building: a complete set for n costs O(n^4) to check
     n = len(dists[0])
     if len(dists) != n + 1:

@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic
 from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
-HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the deviation operators or their Gram matrix
+HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the hyperplane check's count * n^3 operators
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,20 @@ def hyperplane_orthogonality(bases) -> DeviationReport:
     the deviation operators of different bases are Hilbert-Schmidt
     orthogonal. Computed from the deviation operators themselves, not from
     the overlap shortcut used by verify_unbiased, so the two checks stay
-    independent: Tr(Pbar Qbar) = vec(Pbar) . vec(Qbar^T) fills one Gram matrix.
-    Sets whose operators or Gram matrix would exceed HYPERPLANE_MAX_ENTRIES
-    are rejected before either is built (a complete set passes up to n = 43).
+    independent; only the worst-pair scan is shared. The operators are
+    Hermitian, so Tr(Pbar Qbar) = vec(Pbar)* . vec(Qbar): one product of each
+    basis's operators with those of all later bases. Sets whose operators
+    would exceed HYPERPLANE_MAX_ENTRIES are rejected before they are built
+    (a complete set passes up to n = 43).
     """
     checked = _common_dimension(bases)
     count, n = checked.shape[:2]
     _check_hyperplane_size(count, n)
-    vectors = np.concatenate(checked, axis=1)  # column b*n + i is vector i of basis b
-    ops = np.einsum("ar,br->rab", vectors, vectors.conj()) - np.eye(n) / n
-    gram = ops.reshape(len(ops), -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
-    # scan[j, k, i, m] = |Tr(Pbar_ji Qbar_km)| over j < k, first maximum wins
-    scan = np.abs(gram.real).reshape(count, n, count, n).transpose(0, 2, 1, 3)
-    scan[~np.triu(np.ones((count, count), dtype=bool), 1)] = -1.0
-    j, k, i, m = (int(x) for x in np.unravel_index(np.argmax(scan), scan.shape))
-    worst = float(scan[j, k, i, m])
-    worst_pair = (j, i, k, m) if worst > 0.0 else (0, 0, 0, 0)
-    return DeviationReport(worst, worst_pair, worst <= TOL)
+    # row b*n + i is vec(Pbar) for vector i of basis b; the one large array, so I/n goes in place
+    ops = np.einsum("bar,bcr->brac", checked, checked.conj(), order="C").reshape(count * n, n * n)
+    ops -= np.eye(n).ravel() / n
+    return _overlap_report(checked, lambda j: np.abs(
+        (ops[j * n:(j + 1) * n].conj() @ ops[(j + 1) * n:].T).real).reshape(n, -1, n).transpose(1, 0, 2))
 
 
 def information_sum(rho, bases) -> float:
@@ -137,7 +134,7 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
 
 
 def _check_hyperplane_size(count: int, n: int) -> None:
-    if max(count * n ** 3, (count * n) ** 2) > HYPERPLANE_MAX_ENTRIES:
+    if count * n ** 3 > HYPERPLANE_MAX_ENTRIES:
         raise ValidationError(
             f"{count} bases of dimension {n} exceed the hyperplane check's cap of "
             f"{HYPERPLANE_MAX_ENTRIES} complex entries")
@@ -172,17 +169,20 @@ def _check_complete_set(arr: np.ndarray) -> np.ndarray:
     return checked
 
 
-def _overlap_report(checked: np.ndarray) -> DeviationReport:
-    # one product of basis j with all later bases, not a (count n)^2 Gram
-    # matrix; the first maximum in (j, k, i, m) order wins
+def _overlap_report(checked: np.ndarray, deviation=None) -> DeviationReport:
+    # deviation(j)[k, i, m] compares vector i of basis j with vector m of basis j + 1 + k (|<u|v>|^2 - 1/n
+    # unless given): one product per basis, no (count n)^2 Gram matrix; the first maximum in (j, k, i, m) wins
     count, n = checked.shape[:2]
+    if deviation is None:
+        def deviation(j):
+            return np.abs(np.abs(checked[j].conj().T @ checked[j + 1:]) ** 2 - 1.0 / n)
     worst = 0.0
     worst_pair = (0, 0, 0, 0)
     for j in range(count - 1):
-        deviation = np.abs(np.abs(checked[j].conj().T @ checked[j + 1:]) ** 2 - 1.0 / n)
-        k, i, m = np.unravel_index(np.argmax(deviation), deviation.shape)
-        if deviation[k, i, m] > worst:
-            worst = float(deviation[k, i, m])
+        scan = deviation(j)
+        k, i, m = np.unravel_index(np.argmax(scan), scan.shape)
+        if scan[k, i, m] > worst:
+            worst = float(scan[k, i, m])
             worst_pair = (j, int(i), j + 1 + int(k), int(m))
     return DeviationReport(worst, worst_pair, worst <= TOL)
 

@@ -123,8 +123,7 @@ def luders_update(rho, basis) -> np.ndarray:
     eigenbasis of rho leaves it unchanged.
     """
     state, u = _state_and_basis(rho, basis)
-    diag = np.diag(u.conj().T @ state @ u).real
-    return u @ np.diag(diag.astype(complex)) @ u.conj().T
+    return (u * _born(state, u)) @ u.conj().T
 
 
 def spectrum(rho) -> np.ndarray:

@@ -188,14 +188,7 @@ def check_shannon_basis_dependence() -> CheckResult:
     """A unitary shifts the MUB Shannon sum while the quadratic total stays put."""
     bases = mub.build_mubs(2)
     rho = quantum.bloch_state([0.0, 0.0, 0.9])
-    theta = np.arccos(1.0 / np.sqrt(3.0))
-    phi = np.pi / 4.0
-    rot_y = np.array([
-        [np.cos(theta / 2), -np.sin(theta / 2)],
-        [np.sin(theta / 2), np.cos(theta / 2)],
-    ], dtype=complex)
-    rot_z = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-    unitary = rot_z @ rot_y  # maps the z direction onto (1,1,1)/sqrt(3)
+    unitary = quantum.spin_basis([1.0, 1.0, 1.0])  # maps the z direction onto (1,1,1)/sqrt(3)
     rotated = unitary @ rho @ unitary.conj().T
 
     def shannon_sum(state):

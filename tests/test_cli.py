@@ -131,7 +131,10 @@ def test_closed_stdout_exits_quietly():
     (["entangle", "--obs", "xx", "--answers=1,1"],
      "--obs expects two two-letter Pauli products, e.g. 'xx,yy'"),
     (["entangle", "--obs", "xx,yy", "--answers", "1"], "--answers expects two eigenvalues"),
-], ids=["empty-dist", "one-observable", "one-answer"])
+    (["entropy", "--dist", "0.5,,0.5,"], "could not parse probabilities: '0.5,,0.5,'"),
+    (["reconstruct", "--probs", "1,0;;0.5,0.5;0.5,0.5;"],
+     "could not parse outcome distributions: '1,0;;0.5,0.5;0.5,0.5;'"),
+], ids=["empty-dist", "one-observable", "one-answer", "blank-dist-piece", "blank-probs-group"])
 def test_rejected_arguments_name_their_reason(capsys, argv, message):
     assert cli(capsys, *argv) == (1, "", f"error: {message}\n")
 

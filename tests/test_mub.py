@@ -25,6 +25,7 @@ from quantinfo import (
 )
 from quantinfo import mub
 from quantinfo.probability import TOL, _checked
+from test_channel import traced_peak
 
 
 def reference_hyperplane(bases):
@@ -91,7 +92,7 @@ class TestConstruction:
             build_mubs(n)
 
     def test_oversized_set_rejected_before_it_is_built(self):
-        # the hyperplane check's cap: 44 * 43 = 1892 vectors pass, 48 * 47 do not
+        # the hyperplane check's cap: 44 * 43^3 operator entries pass, 48 * 47^3 do not
         assert len(build_mubs(43)) == 44
         for n in (47, 1009):  # 1010 bases of 1009^2 entries would be about 16 GB
             start = time.perf_counter()
@@ -165,6 +166,12 @@ class TestVerification:
         # 48 * 47^3 deviation-operator entries exceed 2^22
         with pytest.raises(ValidationError, match="cap"):
             hyperplane_orthogonality([np.eye(47, dtype=complex)] * 48)
+
+    def test_hyperplane_memory_is_the_operators(self):
+        # the largest accepted set: its deviation operators take 53 MiB; forming
+        # a (44 * 43)^2 Gram matrix from them and a transposed copy peaks at 165 MiB
+        bases = build_mubs(43)
+        assert traced_peak(lambda: hyperplane_orthogonality(bases)) < 128 * 2**20
 
     def test_hyperplane_matches_overlap_verdict(self):
         z = np.eye(2, dtype=complex)
