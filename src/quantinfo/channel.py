@@ -24,11 +24,9 @@ from .probability import (
 )
 from .quantum import (
     _as_matrices,
+    _bloch,
     _haar_basis,
     _spectrum,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     basis_projectors,
     pure_state,
     random_density,
@@ -255,8 +253,7 @@ def _direction(theta, phi) -> np.ndarray:
 
 
 def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
-    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-    bloch = np.einsum("aij,sji->as", ensemble.states, paulis).real
+    bloch = _bloch(ensemble.states)
 
     block = max(1, _GRID_BLOCK_WEIGHTS // (2 * len(bloch)))
 

@@ -381,7 +381,7 @@ def _cmd_selftest(args):
     results = selftest.run_all()
     return [{"passed": all(r.passed for r in results),
              "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
-                         "elapsed_s": r.elapsed_s} for r in results]},
+                         "elapsed_s": r.elapsed_s, "worst": list(r.worst)} for r in results]},
             *map(selftest.format_line, results),
             f"{sum(r.passed for r in results)}/{len(results)} checks passed"]
 

@@ -49,7 +49,8 @@ def surprise(p, outcome: int) -> float:
         raise ValidationError(f"outcome index must be an integer in [0, {probs.size}), got {outcome!r}")
     if probs[outcome] == 0.0:
         raise ValidationError("surprise of a zero-probability outcome is undefined")
-    return float(-np.log2(probs[outcome]))
+    # 0.0 - x, as in _entropy: a certain outcome has surprise +0.0, which -x turns into -0.0
+    return float(0.0 - np.log2(probs[outcome]))
 
 
 def quadratic_information(p, norm: float = 1.0) -> float:

@@ -13,9 +13,10 @@ from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, 
 
 _SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# one read-only (3, 2, 2) stack; the named Paulis are views of it
+_PAULI_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_XYZ.flags.writeable = False
+PAULI_X, PAULI_Y, PAULI_Z = _PAULI_XYZ
 PAULIS = {
     "1": np.eye(2, dtype=complex),
     "x": PAULI_X,
@@ -90,7 +91,12 @@ def bloch_vector(rho) -> np.ndarray:
     state = as_density(rho)
     if state.shape != (2, 2):
         raise ValidationError("Bloch vector is defined for qubit states only")
-    return np.array([float(np.trace(state @ s).real) for s in (PAULI_X, PAULI_Y, PAULI_Z)])
+    return _bloch(state)
+
+
+def _bloch(states: np.ndarray) -> np.ndarray:
+    """Bloch vectors Tr(rho sigma_s) of a trusted qubit state or (..., 2, 2) stack."""
+    return np.einsum("...ij,sji->...s", states, _PAULI_XYZ).real
 
 
 def spin_basis(direction) -> np.ndarray:

@@ -5,23 +5,46 @@ its one-line verdict, so `pytest tests/test_acceptance.py -v -s` reads as a
 pass/fail table. The tests are generated from that list, named after each
 check, so a new check is covered without an edit here. The same table is
 available from the command line as `quantinfo selftest`.
+
+Each row with a seed index also gets a `hypothesis` property, test_property
+with the row's name as its id: drawn seed indices (and dimensions from the
+row's cycle) go through the row's own deviation function and are judged by
+its own bounds.
 """
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from quantinfo import selftest
+
+
+def _key(check):
+    return check.name.replace("-", "_").replace(" ", "_")
 
 
 def _acceptance_test(check):
     def test():
-        result = check()
+        result = selftest.run(check)
         print(selftest.format_line(result))
         assert result.passed, result.detail
-    test.__name__ = "test_" + check.__name__.removeprefix("check_")
-    test.__doc__ = check.__doc__
     return test
 
 
 for _check in selftest.ALL_CHECKS:
-    _test = _acceptance_test(_check)
-    globals()[_test.__name__] = _test
+    globals()["test_" + _key(_check)] = _acceptance_test(_check)
+
+
+SEEDED = [check for check in selftest.ALL_CHECKS if check.count]
+
+
+@pytest.mark.parametrize("check", SEEDED, ids=_key)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_property(check, data):
+    index = st.integers(0, 2**20)
+    case = data.draw(st.tuples(st.sampled_from(check.dims), index) if check.dims
+                     else st.tuples(index), label="case")
+    for value, bound in zip(check.deviation(*case), check.bounds, strict=True):
+        assert selftest.holds(value, bound), (value, bound)

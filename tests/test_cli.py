@@ -561,12 +561,32 @@ class TestSelftestCommand:
         assert len(check_lines) >= 11
         assert all(line.startswith("PASS") for line in check_lines)
 
-    def test_json_payload(self, capsys):
-        code, payload, _ = cli_json(capsys, "selftest")
+    @pytest.fixture(scope="class")
+    def json_run(self):
+        # one selftest --json run, shared by the tests that read its payload
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["selftest", "--json"])
+        return code, json.loads(out.getvalue())
+
+    def test_json_payload(self, json_run):
+        code, payload = json_run
         assert code == 0
         assert payload["passed"] is True
         assert len(payload["checks"]) >= 11
         assert all(check["elapsed_s"] >= 0.0 for check in payload["checks"])
+
+    def test_worst_cases_replay(self, json_run):
+        # each bound's worst value comes back exactly from its row's deviation at its case
+        code, payload = json_run
+        assert code == 0
+        rows = quantinfo.selftest.ALL_CHECKS
+        assert [check["name"] for check in payload["checks"]] == [row.name for row in rows]
+        for check, row in zip(payload["checks"], rows):
+            assert [entry["bound"] for entry in check["worst"]] == list(row.bounds)
+            for j, entry in enumerate(check["worst"]):
+                assert row.deviation(*entry["case"])[j] == entry["value"], (row.name, entry)
+        assert payload["checks"][-2]["worst"] == []  # two-qubit questions: a frozen example only
 
     def test_a_failed_check_exits_one(self, capsys, monkeypatch):
         failed = quantinfo.selftest.CheckResult("broken", False, "detail", 0.0)

@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quantinfo import (
     ValidationError,
@@ -225,23 +224,6 @@ class TestHyperplaneAgainstReference:
         pbar = np.outer(bases[j][:, i], bases[j][:, i].conj()) - np.eye(2) / 2
         qbar = np.outer(bases[k][:, m], bases[k][:, m].conj()) - np.eye(2) / 2
         assert abs(np.trace(pbar @ qbar).real) > TOL
-
-
-@st.composite
-def states(draw):
-    n = draw(st.sampled_from([2, 3, 5]))
-    rank = draw(st.integers(1, n))
-    return random_density(n, seed=draw(st.integers(0, 2**32 - 1)), rank=rank)
-
-
-class TestMubProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(states())
-    def test_information_sum_and_round_trip(self, rho):
-        bases = build_mubs(rho.shape[0])
-        assert abs(information_sum(rho, bases) - total_information(rho)) < 1e-9
-        stats = [born_probabilities(rho, u) for u in bases]
-        assert hs_distance(reconstruct(stats, bases), rho) < 1e-9
 
 
 class TestInformationSum:

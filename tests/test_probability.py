@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import warnings
@@ -386,6 +387,11 @@ class TestSurprise:
     def test_zero_probability_rejected(self):
         with pytest.raises(ValidationError):
             surprise([1.0, 0.0], 1)
+
+    def test_certain_outcome_is_positive_zero(self):
+        # -log2(1) is -0.0; a certain outcome carries +0.0 bits, as entropy does
+        assert math.copysign(1.0, surprise([1.0], 0)) == 1.0
+        assert math.copysign(1.0, surprise([1.0, 0.0], 0)) == 1.0
 
     def test_out_of_range_rejected(self):
         # a float or a bool is not an index, even where it would pick an entry
