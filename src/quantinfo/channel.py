@@ -8,7 +8,7 @@ best projective readout from below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .probability import (
     as_distribution,
 )
 from .quantum import (
+    _PAULI_XYZ,
     _as_matrices,
-    _bloch,
     _haar_basis,
     _spectrum,
+    _trace_product,
     basis_projectors,
     pure_state,
     random_density,
@@ -47,11 +48,11 @@ HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
 _HILL_CLIMB_MAX_COST = 2**27
 
 
-@dataclass(frozen=True)
-class CqEnsemble:
+class CqEnsemble(NamedTuple):
     """Classical letters with priors, each encoded as a density operator.
 
     states is the checked (letters, n, n) stack; states[a] is letter a's state.
+    As a named tuple its len() is 3, the field count; size is the letter count.
     """
 
     letters: tuple[str, ...]
@@ -70,8 +71,7 @@ class CqEnsemble:
         return np.einsum("a,aij->ij", self.priors, self.states)
 
 
-@dataclass(frozen=True)
-class AccessibleInfo:
+class AccessibleInfo(NamedTuple):
     """Best projective readout found by a seeded search (a lower bound)."""
 
     value: float
@@ -79,8 +79,7 @@ class AccessibleInfo:
     method: str
 
 
-@dataclass(frozen=True)
-class WrongBasisReport:
+class WrongBasisReport(NamedTuple):
     """Entropy accounting for reading stored bits in a tilted basis."""
 
     joint: np.ndarray
@@ -113,7 +112,7 @@ def as_povm(effects) -> list[np.ndarray]:
 
 def joint_distribution(ensemble: CqEnsemble, effects) -> np.ndarray:
     """Joint table p(letter, outcome) = prior * Tr(rho_letter E_outcome)."""
-    born = np.einsum("aij,kji->ak", ensemble.states, _povm(effects, ensemble.dim)).real
+    born = _trace_product(ensemble.states[:, None], _povm(effects, ensemble.dim))
     return _joint(ensemble.priors, born)
 
 
@@ -253,7 +252,7 @@ def _direction(theta, phi) -> np.ndarray:
 
 
 def _best_qubit_direction(ensemble: CqEnsemble) -> np.ndarray:
-    bloch = _bloch(ensemble.states)
+    bloch = _trace_product(ensemble.states[:, None], _PAULI_XYZ)
 
     block = max(1, _GRID_BLOCK_WEIGHTS // (2 * len(bloch)))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .probability import _check_size, _entropy, as_distribution
 ENUMERATION_CAP = 2 ** 15
 
 
-@dataclass(frozen=True)
-class TypicalSetReport:
+class TypicalSetReport(NamedTuple):
     """Exact census of the weakly typical length-N sequences of an iid source."""
 
     block_length: int
@@ -34,8 +33,7 @@ class TypicalSetReport:
     total_probability: float
 
 
-@dataclass(frozen=True)
-class PrefixCode:
+class PrefixCode(NamedTuple):
     """Binary prefix code, one codeword per source symbol that can occur.
 
     A zero-probability symbol is never asked about: its length is 0 and its
@@ -89,24 +87,18 @@ def question_strategy(p) -> PrefixCode:
     # merged nodes continue upward from n
     heap = [(w, k, k) for k, w in enumerate(dist[asked].tolist())]
     heapq.heapify(heap)
-    children: dict[int, tuple[int, int]] = {}
-    next_id = n
+    children = []  # entries 2j and 2j + 1 are the two nodes merged into node n + j
     while len(heap) > 1:
         w1, _, a = heapq.heappop(heap)
         w2, _, b = heapq.heappop(heap)
-        children[next_id] = (a, b)
-        heapq.heappush(heap, (w1 + w2, next_id, next_id))
-        next_id += 1
-    depths = [0] * n
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node < n:
-            depths[node] = depth
-        else:
-            a, b = children[node]
-            stack.append((a, depth + 1))
-            stack.append((b, depth + 1))
+        node = n + len(children) // 2
+        children += (a, b)
+        heapq.heappush(heap, (w1 + w2, node, node))
+    # a parent's id exceeds its children's, so one pass down from the root fills every depth
+    depths = [0] * (n + len(children) // 2)
+    for j in reversed(range(len(children))):
+        depths[children[j]] = depths[n + j // 2] + 1
+    del depths[n:]
     lengths = [0] * dist.size
     codewords: list[str | None] = [None] * dist.size
     for i, depth, word in zip(asked, depths, _canonical_codewords(depths)):

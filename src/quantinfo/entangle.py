@@ -10,17 +10,17 @@ questions ask whether the two spins agree along a common axis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .probability import TOL, _quadratic, _renormalize
-from .quantum import PAULIS, _fix_column_phases, _hermitian_pair, as_density, as_hermitian, pure_state
+from .quantum import (
+    PAULIS, _fix_column_phases, _hermitian_pair, _trace_product, as_density, as_hermitian, pure_state)
 
 
-@dataclass(frozen=True)
-class InfoSplit:
+class InfoSplit(NamedTuple):
     """Quadratic information of a two-qubit state, split by question type."""
 
     individual: float
@@ -136,5 +136,5 @@ def _question_stack() -> tuple[tuple[str, ...], np.ndarray]:
 
 def _question_information(state: np.ndarray, questions: np.ndarray):
     """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and a projector or a stack of them."""
-    yes = np.einsum("ij,...ji->...", state, questions).real
+    yes = _trace_product(state, questions)
     return _quadratic(_renormalize(np.stack([yes, 1.0 - yes], axis=-1)))

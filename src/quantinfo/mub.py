@@ -7,7 +7,7 @@ complete number is constructible here for n = 2 and odd prime n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, a
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the hyperplane check's count * n^3 operators
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Worst-case deviation over all cross-basis projector pairs.
 
     worst_pair is (basis_j, vector_i, basis_k, vector_m) for the offending

@@ -91,12 +91,7 @@ def bloch_vector(rho) -> np.ndarray:
     state = as_density(rho)
     if state.shape != (2, 2):
         raise ValidationError("Bloch vector is defined for qubit states only")
-    return _bloch(state)
-
-
-def _bloch(states: np.ndarray) -> np.ndarray:
-    """Bloch vectors Tr(rho sigma_s) of a trusted qubit state or (..., 2, 2) stack."""
-    return np.einsum("...ij,sji->...s", states, _PAULI_XYZ).real
+    return _trace_product(state, _PAULI_XYZ)
 
 
 def spin_basis(direction) -> np.ndarray:
@@ -143,7 +138,8 @@ def von_neumann_entropy(rho) -> float:
 
 
 def purity(rho) -> float:
-    return _purity(as_density(rho))
+    state = as_density(rho)
+    return float(_trace_product(state, state))
 
 
 def total_information(rho) -> float:
@@ -152,7 +148,7 @@ def total_information(rho) -> float:
     Zero for the maximally mixed state, 1 - 1/n for every pure state.
     """
     state = as_density(rho)
-    return _purity(state) - 1.0 / state.shape[0]
+    return float(_trace_product(state, state)) - 1.0 / state.shape[0]
 
 
 def is_pure(rho) -> bool:
@@ -162,14 +158,14 @@ def is_pure(rho) -> bool:
 def hs_inner_product(a, b) -> float:
     """Hilbert-Schmidt inner product Tr(AB) of two Hermitian matrices; its imaginary part is rounding."""
     ha, hb = _hermitian_pair(a, b)
-    return float(np.einsum("ij,ji->", ha, hb).real)
+    return float(_trace_product(ha, hb))
 
 
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt distance sqrt(Tr (A-B)^2)."""
     ha, hb = _hermitian_pair(a, b)
     diff = ha - hb
-    return float(np.sqrt(max(np.einsum("ij,ji->", diff, diff).real, 0.0)))
+    return float(np.sqrt(max(_trace_product(diff, diff), 0.0)))
 
 
 def smallest_eigenvalue(matrix) -> float:
@@ -285,8 +281,9 @@ def _spectrum(state: np.ndarray) -> np.ndarray:
     return _renormalize(np.linalg.eigvalsh(state)[..., ::-1])
 
 
-def _purity(state: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", state, state).real)
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(AB), broadcast over leading axes: every trace of a product in the package sums here, in one order."""
+    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def _fix_column_phases(matrix: np.ndarray) -> np.ndarray:

@@ -18,8 +18,6 @@ import numpy as np
 from . import channel, coding, entangle, mub, probability, quantum
 
 
-# not dataclasses: cli imports this module for every subcommand, and building a
-# dataclass costs about 1 ms
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -33,7 +31,8 @@ class Check:
     without dims, or (n,) without count. Bound j, "< limit" or "> limit", judges
     entry j of deviation(*case) over every case. The template's positional fields
     take each bound's worst value with the bound; its named fields take the values
-    that the frozen example returns with its verdict.
+    that the frozen example returns with its verdict. A bound that fails appends
+    itself, its worst value and that value's case to the detail.
     """
 
     def __init__(self, name, template, deviation=None, bounds=(), dims=(), count=0, example=None):
@@ -57,7 +56,7 @@ def run(check: Check) -> CheckResult:
     cases = check.cases()
     deviations = [check.deviation(*case) for case in cases]
     passed, named = check.example() if check.example else (True, {})
-    worst, fields = [], []
+    worst, fields, failures = [], [], []
     for j, bound in enumerate(check.bounds):
         # the value furthest toward failing, the first on ties; NaN is the worst of all
         sign = 1.0 if bound.startswith("<") else -1.0
@@ -66,8 +65,10 @@ def run(check: Check) -> CheckResult:
         value = deviations[k][j]
         worst.append({"bound": bound, "value": value, "case": cases[k]})
         fields.append(f"{value:.3e} ({bound})")
-        passed = passed and holds(value, bound)
-    return CheckResult(check.name, passed, check.template.format(*fields, **named),
+        if not holds(value, bound):
+            passed = False
+            failures.append(f"; fails {bound}: {value:.3e} at case {cases[k]}")
+    return CheckResult(check.name, passed, check.template.format(*fields, **named) + "".join(failures),
                        time.perf_counter() - start, tuple(worst))
 
 

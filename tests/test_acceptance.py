@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantinfo import selftest
+from quantinfo import probability, selftest
 
 
 def _key(check):
@@ -34,6 +34,16 @@ def _acceptance_test(check):
 
 for _check in selftest.ALL_CHECKS:
     globals()["test_" + _key(_check)] = _acceptance_test(_check)
+
+
+def test_a_failing_bound_names_itself_and_its_case(monkeypatch):
+    # the failure count fills no template field, so the claim it prints must be followed by the miss
+    monkeypatch.setattr(probability, "majorizes", lambda p, q: False)
+    row = next(check for check in selftest.ALL_CHECKS if check.name == "measurement majorization")
+    result = selftest.run(row)
+    assert not result.passed
+    assert result.worst[2] == {"bound": "< 1", "value": 1, "case": (0,)}
+    assert result.detail.endswith("spectrum majorization everywhere; fails < 1: 1.000e+00 at case (0,)")
 
 
 SEEDED = [check for check in selftest.ALL_CHECKS if check.count]

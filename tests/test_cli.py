@@ -100,6 +100,14 @@ def test_module_entry_point_runs_main():
     assert json.loads(done.stdout)["entropy_bits"] == 1.0
 
 
+def test_cli_start_imports_no_dataclasses():
+    # the result types are named tuples; a subprocess, since pytest itself imports dataclasses
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, quantinfo.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=module_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
 def test_reconstruct_counts_distributions_before_building_bases():
     # two 211-entry distributions: a complete set for n = 211 would take
     # tens of seconds and hundreds of MB to build and check

@@ -66,6 +66,29 @@ def test_only_validators_call_clamp():
     assert callers == CLAMP_CALLERS
 
 
+def contracts_trace(call) -> bool:
+    """Whether call is an np.einsum of two operands whose last index pairs swap and are summed away."""
+    if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "einsum"
+            and call.args and isinstance(call.args[0], ast.Constant)):
+        return False
+    inputs, _, output = call.args[0].value.replace(" ", "").partition("->")
+    operands = inputs.split(",")
+    if len(operands) != 2 or min(map(len, operands)) < 2:
+        return False
+    (i, j), (k, l) = operands[0][-2:], operands[1][-2:]
+    return (i, j) == (l, k) and i != j and i not in output and j not in output
+
+
+def test_one_trace_kernel():
+    # every Tr(AB) in the package (purity, Born and Bloch weights, question answers) sums in one order
+    calls = [call for path in sorted(Path(quantinfo.__file__).parent.glob("*.py"))
+             for call in ast.walk(ast.parse(path.read_text())) if contracts_trace(call)]
+    sites = [(module, name) for module, name, node in source_functions()
+             for call in ast.walk(node) if contracts_trace(call)]
+    assert len(calls) == 1
+    assert sites == [("quantum", "_trace_product")]
+
+
 def test_no_function_takes_a_tolerance():
     # every window is a module constant, and the entry-by-entry pass behind _clamp
     # only picks the error message for an input the fast test already refused
