@@ -19,6 +19,7 @@ from .probability import (
     _entropy,
     _is_int,
     _mutual_information,
+    _spell,
     TOL,
     as_distribution,
 )
@@ -146,7 +147,7 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
     dimension, is rejected before any scoring. POVMs are excluded by design.
     """
     if not (_is_int(seed) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise ValidationError(f"seed must be a nonnegative integer, got {_spell(seed)}")
     if ensemble.dim == 2:
         weights = 2 * ensemble.size * _GRID_DIRECTIONS  # two outcomes per letter and direction
         if weights > _GRID_MAX_WEIGHTS:

@@ -223,23 +223,18 @@ def _cmd_itot(args):
 
 
 def _verdict(key: str, label: str, report) -> tuple:
-    value = {"max_deviation": report.max_deviation, "worst_pair": list(report.worst_pair),
-             "passed": report.passed}
-    text = (f"{label} = {{0[max_deviation]:.3e}} "
-            f"({'pass' if report.passed else 'FAIL'} at tol {probability.TOL:g})")
-    return key, value, text
+    deviation, _, passed = report
+    return key, report._asdict(), (
+        f"{label} = {deviation:.3e} ({'pass' if passed else 'FAIL'} at tol {probability.TOL:g})")
 
 
 def _cmd_mub_verify(args):
     bases = mub.build_mubs(args.dim)
-    # the hyperplane check's size cap rejects an oversized set before the overlap scan
-    hyper = mub.hyperplane_orthogonality(bases)
-    unbiased = mub.verify_unbiased(bases)
     return [{"dim": args.dim},
             ("bases", len(bases), f"built {{}} bases for dim {args.dim}"),
-            _verdict("unbiasedness", "unbiasedness: max |Tr(PQ) - 1/n|", unbiased),
-            _verdict("hyperplane_orthogonality",
-                     "hyperplane orthogonality: max |Tr(Pbar Qbar)|", hyper)]
+            _verdict("unbiasedness", "unbiasedness: max |Tr(PQ) - 1/n|", mub.verify_unbiased(bases)),
+            _verdict("hyperplane_orthogonality", "hyperplane orthogonality: max |Tr(Pbar Qbar)|",
+                     mub.hyperplane_orthogonality(bases))]
 
 
 def _cmd_mub_sum(args):
@@ -366,24 +361,21 @@ def _cmd_entangle(args):
         rho = _resolve_state(args)
         source = {"state_file": args.state}
     split = entangle.info_split(rho)
-    terms = split.individual_terms + split.correlation_terms
+    individual, correlation, *term_groups = split
     # JSON puts the totals before the terms, the text after them
-    return [source, {"state": state_to_json(rho), "individual": split.individual,
-                     "correlation": split.correlation,
-                     "individual_terms": [list(t) for t in split.individual_terms],
-                     "correlation_terms": [list(t) for t in split.correlation_terms]},
-            *(f"{label}: I = {value:.6f}" for label, value in terms),
-            f"individual total  = {split.individual:.6f}",
-            f"correlation total = {split.correlation:.6f}"]
+    return [source, {"state": state_to_json(rho), **split._asdict()},
+            *(f"{label}: I = {value:.6f}" for terms in term_groups for label, value in terms),
+            f"individual total  = {individual:.6f}",
+            f"correlation total = {correlation:.6f}"]
 
 
 def _cmd_selftest(args):
     results = selftest.run_all()
-    return [{"passed": all(r.passed for r in results),
-             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
-                         "elapsed_s": r.elapsed_s, "worst": list(r.worst)} for r in results]},
+    checks = [r._asdict() for r in results]
+    passes = sum(check["passed"] for check in checks)
+    return [{"passed": passes == len(checks), "checks": checks},
             *map(selftest.format_line, results),
-            f"{sum(r.passed for r in results)}/{len(results)} checks passed"]
+            f"{passes}/{len(checks)} checks passed"]
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _check_size, _entropy, as_distribution
+from .probability import _check_size, _entropy, _spell, as_distribution
 
 # Type classes, not sequences. The slowest block rate at the cap (6 symbols,
 # k = 17, 26,334 classes) takes about 0.6 s on a 2-vCPU Xeon VM; 2^16 would
@@ -55,7 +55,7 @@ def typical_set(p, block_length: int, epsilon: float) -> TypicalSetReport:
     surprise and are never typical, so such letters are dropped first. The
     census runs over letter-count type classes of the other letters, so it is
     exact for every block length with at most ENUMERATION_CAP classes (and
-    n^N <= 2^53).
+    N <= 2^53, n^N <= 2^53).
     """
     probs = _possible(p)
     if not (np.isfinite(epsilon) and epsilon > 0.0):
@@ -135,15 +135,17 @@ def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int
     share the weight prod p_i^c_i, and there are block_length! / prod c_i!
     of them. Classes come in lexicographic order of the counts. The log
     weight sums c_i log2 p_i over the letters in order, which must all be
-    positive. Rejects block lengths that are not integers of at least 1, more
+    positive. Rejects block lengths that are not integers in [1, 2^53], more
     than 2^53 sequences (multiplicities stay exact as floats) and more than
     ENUMERATION_CAP classes.
     """
     n = probs.size
     _check_size(block_length, "block length")
-    # k first: two letters pass 2^53 past k = 53, and the exact integer n^k costs time growing with k
-    if n > 1 and block_length > 53 or n ** block_length > 2 ** 53:
-        raise ValidationError(f"{n}^{block_length} sequences exceed 2^53")
+    # k first: two letters pass 2^53 past k = 53, and n^k costs time growing with k; a numpy k would wrap it
+    if n > 1 and block_length > 53 or n ** int(block_length) > 2 ** 53:
+        raise ValidationError(f"{n}^{_spell(block_length, str)} sequences exceed 2^53")
+    if block_length > 2 ** 53:  # one letter only: past 2^53 the block length is not exact as a float
+        raise ValidationError(f"block length {_spell(block_length, str)} exceeds 2^53")
     classes = math.comb(block_length + n - 1, n - 1)
     if classes > ENUMERATION_CAP:
         raise ValidationError(f"{classes} type classes of {n}^{block_length} sequences "

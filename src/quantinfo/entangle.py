@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .probability import TOL, _quadratic, _renormalize
 from .quantum import (
-    PAULIS, _fix_column_phases, _hermitian_pair, _trace_product, as_density, as_hermitian, pure_state)
+    PAULIS, _as_matrices, _fix_column_phases, _trace_product, as_density, as_hermitian, pure_state)
 
 
 class InfoSplit(NamedTuple):
@@ -48,7 +48,7 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     the joint eigenspace is not one-dimensional (its dimension is named in
     the error).
     """
-    a, b = _hermitian_pair(obs_a, obs_b)
+    a, b = _as_matrices([obs_a, obs_b], 3, "hermitian")
     if np.max(np.abs(a @ b - b @ a)) > TOL:
         raise ValidationError("observables do not commute")
     try:
@@ -56,23 +56,21 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValidationError("answers must be a pair of eigenvalues") from None
 
-    values_a, vectors_a = np.linalg.eigh(a)
-    keep = np.abs(values_a - want_a) <= TOL
-    if not keep.any():
-        raise ValidationError(f"{want_a} is not an eigenvalue of the first observable")
-    subspace = vectors_a[:, keep]
-
-    restricted = subspace.conj().T @ b @ subspace
-    values_b, vectors_b = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
-    keep_b = np.abs(values_b - want_b) <= TOL
-    dim = int(keep_b.sum())
-    if dim == 0:
-        raise ValidationError(
-            f"{want_b} is not an eigenvalue of the second observable on that eigenspace")
+    # subspace's orthonormal columns span the eigenspace found so far, starting from the whole space
+    subspace = np.eye(len(a), dtype=complex)
+    for observable, want, where in ((a, want_a, "the first observable"),
+                                    (b, want_b, "the second observable on that eigenspace")):
+        restricted = subspace.conj().T @ observable @ subspace
+        values, vectors = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
+        keep = np.abs(values - want) <= TOL
+        if not keep.any():
+            raise ValidationError(f"{want} is not an eigenvalue of {where}")
+        subspace = subspace @ vectors[:, keep]
+    dim = subspace.shape[1]
     if dim != 1:
         raise ValidationError(
             f"joint eigenspace has dimension {dim}, not 1: answers do not pin down a state")
-    vector = subspace @ vectors_b[:, keep_b][:, 0]
+    vector = subspace[:, 0]
 
     residual = max(
         float(np.linalg.norm(a @ vector - want_a * vector)),
@@ -80,7 +78,7 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     )
     if residual > TOL:
         raise ValidationError(f"joint eigenvector residual {residual:.3e} too large")
-    return pure_state(_fix_column_phases(vector[:, None])[:, 0])
+    return pure_state(_fix_column_phases(subspace)[:, 0])
 
 
 def proposition_information(rho, question) -> float:

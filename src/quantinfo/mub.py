@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic
+from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic, _spell
 from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the hyperplane check's count * n^3 operators
@@ -36,20 +36,21 @@ def build_mubs(n: int) -> list[np.ndarray]:
     For n = 2 these are the three Pauli eigenbases. For odd prime n the k-th
     non-computational basis has vector m with components
     exp(2*pi*i*(k*l^2 + m*l)/n)/sqrt(n); quadratic Gauss sums make distinct k
-    unbiased. Composite and even dimensions beyond 2 are rejected, and so
-    are sets the hyperplane check would reject as too large (n > 43), before
-    they are built. Every vector's first nonzero component is real positive.
+    unbiased. An odd n past the hyperplane check's cap (n > 45) is rejected
+    before trial division tests it for primality, and then composite and even
+    n beyond 2. Every vector's first nonzero component is real positive.
     """
+    if _is_int(n) and n > 2 and n % 2:
+        _check_hyperplane_size(int(n) + 1, int(n))  # a Python int, so a numpy n cannot wrap
     if not _is_int(n) or n != 2 and not _is_odd_prime(n):
         raise ValidationError(
-            f"complete MUB sets are constructed only for n = 2 and odd primes, got {n!r}")
+            f"complete MUB sets are constructed only for n = 2 and odd primes, got {_spell(n)}")
     if n == 2:
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         z = np.eye(2, dtype=complex)
         x = np.array([[1, 1], [1, -1]], dtype=complex) * inv_sqrt2
         y = np.array([[1, 1], [1j, -1j]], dtype=complex) * inv_sqrt2
         return [z, x, y]
-    _check_hyperplane_size(n + 1, n)
     bases = [np.eye(n, dtype=complex)]
     l = np.arange(n)
     for k in range(n):
@@ -135,7 +136,7 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
 def _check_hyperplane_size(count: int, n: int) -> None:
     if count * n ** 3 > HYPERPLANE_MAX_ENTRIES:
         raise ValidationError(
-            f"{count} bases of dimension {n} exceed the hyperplane check's cap of "
+            f"{_spell(count)} bases of dimension {_spell(n)} exceed the hyperplane check's cap of "
             f"{HYPERPLANE_MAX_ENTRIES} complex entries")
 
 

@@ -46,7 +46,7 @@ def surprise(p, outcome: int) -> float:
     """
     probs = as_distribution(p)
     if not (_is_int(outcome) and 0 <= outcome < probs.size):
-        raise ValidationError(f"outcome index must be an integer in [0, {probs.size}), got {outcome!r}")
+        raise ValidationError(f"outcome index must be an integer in [0, {probs.size}), got {_spell(outcome)}")
     if probs[outcome] == 0.0:
         raise ValidationError("surprise of a zero-probability outcome is undefined")
     # 0.0 - x, as in _entropy: a certain outcome has surprise +0.0, which -x turns into -0.0
@@ -243,7 +243,15 @@ def _is_int(value) -> bool:
 
 def _check_size(n, what: str) -> None:
     if not (_is_int(n) and n >= 1):
-        raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
+        raise ValidationError(f"{what} must be an integer >= 1, got {_spell(n)}")
+
+
+def _spell(value, form=repr) -> str:
+    """form(value) for a rejection message, or the bit length of an int too long to print (over 4,300 digits)."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
 
 
 def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize
+from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize, _spell
 
 _SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
 
@@ -157,13 +157,13 @@ def is_pure(rho) -> bool:
 
 def hs_inner_product(a, b) -> float:
     """Hilbert-Schmidt inner product Tr(AB) of two Hermitian matrices; its imaginary part is rounding."""
-    ha, hb = _hermitian_pair(a, b)
+    ha, hb = _as_matrices([a, b], 3, "hermitian")
     return float(_trace_product(ha, hb))
 
 
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt distance sqrt(Tr (A-B)^2)."""
-    ha, hb = _hermitian_pair(a, b)
+    ha, hb = _as_matrices([a, b], 3, "hermitian")
     diff = ha - hb
     return float(np.sqrt(max(_trace_product(diff, diff), 0.0)))
 
@@ -178,7 +178,7 @@ def random_density(n: int, seed: int, rank: int | None = None) -> np.ndarray:
     _check_size(n, "dimension")
     r = n if rank is None else rank
     if not (_is_int(r) and 1 <= r <= n):
-        raise ValidationError(f"rank must be an integer in 1..{n}, got {r!r}")
+        raise ValidationError(f"rank must be an integer in 1..{n}, got {_spell(r)}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     rho = g @ g.conj().T
@@ -205,10 +205,6 @@ def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"basis dimension {u.shape[0]} does not match state dimension {state.shape[0]}")
     return state, u
-
-
-def _hermitian_pair(a, b) -> np.ndarray:
-    return _as_matrices([a, b], 3, "hermitian")
 
 
 def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:

@@ -87,5 +87,5 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 decode errors
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,9 @@ from quantinfo import (
     ValidationError, as_distribution, bloch_state, cq_ensemble, ensemble_to_json, pure_state,
     random_ensemble, state_to_json)
 from quantinfo.cli import build_parser, run
+from quantinfo.entangle import InfoSplit
+from quantinfo.mub import DeviationReport
+from quantinfo.selftest import CheckResult
 
 # one accepted argument list per subcommand
 VALID_ARGS = {
@@ -106,6 +111,46 @@ def test_cli_start_imports_no_dataclasses():
         [sys.executable, "-c", "import sys, quantinfo.cli; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True, env=module_env(), timeout=60)
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_cli_reads_no_field_of_the_records_it_serialises():
+    # mub-verify, entangle and selftest emit each record's _asdict(), so field names live only in the record
+    fields = set(DeviationReport._fields + InfoSplit._fields + CheckResult._fields)
+    tree = ast.parse(Path(cli_module.__file__).read_text())
+    assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & fields == set()
+
+
+UNREADABLE_FILES = {
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "5000-digit-integer": b'{"dim": 1' + b"0" * 4999 + b"}",
+    "utf-16-byte-order-mark": b"\xff\xfe" + '{"bloch": [0, 0, 1]}'.encode("utf-16-le"),
+}
+
+
+@pytest.mark.parametrize("command", ["itot --state", "holevo --ensemble"])
+@pytest.mark.parametrize("content", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES.keys())
+def test_unreadable_json_file_is_rejected(capsys, tmp_path, command, content):
+    # a RecursionError, a plain ValueError and a UnicodeDecodeError ended in a traceback
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = cli(capsys, *command.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mub-verify", "--dim", str(2 ** 61 - 1)], "exceed the hyperplane check's cap"),
+    (["coding", "--dist", "1", "--block", "1" + "0" * 400, "--epsilon", "0.1"], "exceeds 2^53"),
+    (["questions", "--dist", "1", "--block", "1" + "0" * 400], "exceeds 2^53"),
+], ids=["mub-verify-mersenne-61", "coding-one-letter", "questions-one-letter"])
+def test_huge_sizes_are_rejected_fast(capsys, argv, message):
+    # trial division of 2^61 - 1 ran past 30 s; a 401-digit block length raised OverflowError
+    start = time.perf_counter()
+    code, out, err = cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
 
 
 def test_reconstruct_counts_distributions_before_building_bases():

@@ -112,6 +112,9 @@ class TestTypicalSet:
         typical_set([0.2, 0.3, 0.5], 33, 0.1)
         with pytest.raises(ValidationError, match="3\\^34 sequences exceed 2\\^53"):
             typical_set([0.2, 0.3, 0.5], 34, 0.1)
+        # a numpy block length: 3^40 wraps to a negative int64 unless n^k is a Python int
+        with pytest.raises(ValidationError, match="3\\^40 sequences exceed 2\\^53"):
+            typical_set([0.2, 0.3, 0.5], np.int64(40), 0.1)
 
     def test_huge_block_length_rejected_fast(self):
         # 3^k is an exact integer of 0.48 k digits; without the k > 53 test,
@@ -125,6 +128,18 @@ class TestTypicalSet:
                 assert time.perf_counter() - start < 0.05
         # one letter has one sequence at every block length
         assert typical_set([1.0], 10 ** 9, 0.1).count == 1
+
+    def test_block_length_past_2_to_53_rejected_for_one_letter(self):
+        # one letter passes the sequence-count rule at any length; past about 1.8e308
+        # the block length stopped converting to a float and raised OverflowError
+        assert typical_set([1.0], 2 ** 53, 0.1).count == 1
+        for check in (lambda k: typical_set([1.0], k, 0.1),
+                      lambda k: block_question_rate([1.0, 0.0], k)):
+            for k in (2 ** 53 + 1, 10 ** 400):
+                start = time.perf_counter()
+                with pytest.raises(ValidationError, match=f"^block length {k} exceeds 2\\^53$"):
+                    check(k)
+                assert time.perf_counter() - start < 0.1
 
     def test_bad_parameters_rejected(self):
         for block in (0, 2.5, 2.0, True):

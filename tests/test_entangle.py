@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from quantinfo import (
     pauli_product,
     proposition_information,
     pure_state,
+    random_basis,
     random_density,
     total_information,
 )
 from quantinfo.entangle import _question_stack
+from quantinfo.probability import TOL
+from quantinfo.quantum import _as_matrices, _fix_column_phases
 
 BELL_PHI_PLUS = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
 PLUS_PLUS = pure_state(np.array([1, 1, 1, 1]) / 2)
@@ -202,3 +207,97 @@ class TestInfoSplit:
             assert terms == tuple(
                 (label, proposition_information(rho, q)) for label, q in questions)
             assert split.individual == sum(v for _, v in terms[:6])
+
+
+def reference_joint_eigenstate(obs_a, obs_b, answers):
+    """joint_eigenstate as it was written with one eigenspace step per observable, before the loop."""
+    a, b = _as_matrices([obs_a, obs_b], 3, "hermitian")
+    if np.max(np.abs(a @ b - b @ a)) > TOL:
+        raise ValidationError("observables do not commute")
+    try:
+        want_a, want_b = (float(x) for x in answers)
+    except (TypeError, ValueError):
+        raise ValidationError("answers must be a pair of eigenvalues") from None
+
+    values_a, vectors_a = np.linalg.eigh(a)
+    keep = np.abs(values_a - want_a) <= TOL
+    if not keep.any():
+        raise ValidationError(f"{want_a} is not an eigenvalue of the first observable")
+    subspace = vectors_a[:, keep]
+
+    restricted = subspace.conj().T @ b @ subspace
+    values_b, vectors_b = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
+    keep_b = np.abs(values_b - want_b) <= TOL
+    dim = int(keep_b.sum())
+    if dim == 0:
+        raise ValidationError(
+            f"{want_b} is not an eigenvalue of the second observable on that eigenspace")
+    if dim != 1:
+        raise ValidationError(
+            f"joint eigenspace has dimension {dim}, not 1: answers do not pin down a state")
+    vector = subspace @ vectors_b[:, keep_b][:, 0]
+
+    residual = max(
+        float(np.linalg.norm(a @ vector - want_a * vector)),
+        float(np.linalg.norm(b @ vector - want_b * vector)),
+    )
+    if residual > TOL:
+        raise ValidationError(f"joint eigenvector residual {residual:.3e} too large")
+    return pure_state(_fix_column_phases(vector[:, None])[:, 0])
+
+
+def joint_outcome(function, a, b, answers):
+    """(state, None) or (None, the rejection message)."""
+    try:
+        return function(a, b, answers), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+def assert_loop_matches_reference(a, b, answers) -> str:
+    """Same verdict and message as the reference, states within 1e-15 per entry; returns the message."""
+    state, message = joint_outcome(joint_eigenstate, a, b, answers)
+    want, want_message = joint_outcome(reference_joint_eigenstate, a, b, answers)
+    assert message == want_message
+    if message is None:
+        assert np.max(np.abs(state - want)) <= 1e-15
+    return message or "state"
+
+
+def message_kinds(messages) -> set[str]:
+    """Each message without its first word (the answer or "joint"), so answers of one kind collapse."""
+    return {m if m in ("state", "observables do not commute") else m.split(" ", 1)[1] for m in messages}
+
+
+def test_loop_matches_reference_on_pauli_pairs():
+    # all 256 pairs of two-qubit Pauli products, with every answer pair from {1, -1, 0.5}
+    products = [pauli_product(f, s) for f, s in itertools.product("1xyz", repeat=2)]
+    messages = [assert_loop_matches_reference(a, b, answers)
+                for a, b in itertools.product(products, repeat=2)
+                for answers in itertools.product((1, -1, 0.5), repeat=2)]
+    assert len(messages) == 256 * 9
+    assert message_kinds(messages) == {
+        "state", "observables do not commute", "is not an eigenvalue of the first observable",
+        "is not an eigenvalue of the second observable on that eigenspace",
+        "eigenspace has dimension 2, not 1: answers do not pin down a state",
+        "eigenspace has dimension 4, not 1: answers do not pin down a state"}
+
+
+def test_loop_matches_reference_on_seeded_commuting_pairs():
+    # a shared eigenbasis with small integer eigenvalues: degenerate spaces, exact answers,
+    # answers inside the TOL window, near misses just past it and absent values
+    offsets = (0.0, 0.5 * TOL, -0.5 * TOL, 2.0 * TOL, 0.5)
+    messages = []
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 5
+        u = random_basis(n, seed=seed)
+        values = rng.integers(-2, 3, size=(2, n))
+        a, b = ((u * v) @ u.conj().T for v in values)
+        k = int(rng.integers(n))
+        answers = values[:, k] + rng.choice(offsets, size=2, p=(0.6, 0.1, 0.1, 0.1, 0.1))
+        messages.append(assert_loop_matches_reference(a, b, answers))
+    kinds = message_kinds(messages)
+    assert {"state", "is not an eigenvalue of the first observable",
+            "is not an eigenvalue of the second observable on that eigenspace"} <= kinds
+    assert any(kind.startswith("eigenspace has dimension") for kind in kinds)

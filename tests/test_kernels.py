@@ -89,6 +89,13 @@ def test_one_trace_kernel():
     assert sites == [("quantum", "_trace_product")]
 
 
+def test_one_eigenspace_step():
+    # joint_eigenstate narrows to each observable's eigenspace in one loop, so eigh appears once
+    node = {(module, name): node for module, name, node in source_functions()}[
+        ("entangle", "joint_eigenstate")]
+    assert sum(isinstance(n, ast.Attribute) and n.attr == "eigh" for n in ast.walk(node)) == 1
+
+
 def test_no_function_takes_a_tolerance():
     # every window is a module constant, and the entry-by-entry pass behind _clamp
     # only picks the error message for an input the fast test already refused

@@ -93,11 +93,16 @@ class TestConstruction:
     def test_oversized_set_rejected_before_it_is_built(self):
         # the hyperplane check's cap: 44 * 43^3 operator entries pass, 48 * 47^3 do not
         assert len(build_mubs(43)) == 44
-        for n in (47, 1009):  # 1010 bases of 1009^2 entries would be about 16 GB
+        # 1010 bases of 1009^2 entries would be about 16 GB; for odd n the cap comes before
+        # trial division, which took 1.85 s to clear 10^15 + 37
+        for n in (47, 1009, 10 ** 15 + 37, 2 ** 61 - 1, np.int64(10 ** 15 + 37), 49, 51):
             start = time.perf_counter()
             with pytest.raises(ValidationError, match="cap"):
                 build_mubs(n)
             assert time.perf_counter() - start < 0.1
+        # 46 * 45^3 entries fit under the cap, so 45 still reaches the primality test
+        with pytest.raises(ValidationError, match="only for n = 2 and odd primes, got 45$"):
+            build_mubs(45)
 
     def test_qutrit_cross_overlaps_are_exactly_flat(self):
         bases = build_mubs(3)

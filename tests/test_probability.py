@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quantinfo
 from quantinfo import (
     ValidationError,
     apply_doubly_stochastic,
@@ -344,6 +346,32 @@ class TestEntropyMatchesReference:
         self.assert_same_bits(probs[..., ::-1])  # a strided view, as _spectrum passes
         if probs.ndim == 2:
             self.assert_same_bits(probs.T)
+
+
+HUGE = 10 ** 5000  # past the 4,300 digits Python will turn into a string
+HUGE_CALLS = {
+    "mub-dim": lambda: quantinfo.build_mubs(HUGE),
+    "mub-odd-dim": lambda: quantinfo.build_mubs(HUGE + 1),
+    "mub-negative-dim": lambda: quantinfo.build_mubs(-HUGE),
+    "typical-set-block": lambda: quantinfo.typical_set([0.5, 0.5], HUGE, 0.1),
+    "one-letter-block": lambda: quantinfo.typical_set([1.0], HUGE, 0.1),
+    "question-rate-block": lambda: quantinfo.block_question_rate([0.5, 0.5], HUGE),
+    "negative-block": lambda: quantinfo.typical_set([0.5, 0.5], -HUGE, 0.1),
+    "dimension": lambda: quantinfo.random_density(-HUGE, seed=0),
+    "rank": lambda: quantinfo.random_density(2, seed=0, rank=HUGE),
+    "outcome": lambda: surprise([0.5, 0.5], HUGE),
+    "seed": lambda: quantinfo.accessible_information(
+        quantinfo.cq_ensemble([1.0], [np.eye(2) / 2]), seed=-HUGE),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_CALLS.values(), ids=HUGE_CALLS.keys())
+def test_rejecting_a_huge_integer_names_its_size(call):
+    # spelling the integer out raised ValueError from inside the message
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"<{HUGE.bit_length()}-bit integer>"):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 class TestShannonEntropy:
