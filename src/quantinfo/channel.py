@@ -17,6 +17,7 @@ from .probability import (
     _check_size,
     _conditional_entropy,
     _entropy,
+    _finite_scalar,
     _is_int,
     _mutual_information,
     _spell,
@@ -171,8 +172,7 @@ def wrong_basis_demo(theta: float, priors=(0.5, 0.5)) -> WrongBasisReport:
     The readout direction is tilted by theta from z in the x-z plane, so for
     equiprobable bits the recovered information is 1 - H2(cos^2(theta/2)).
     """
-    if not np.isfinite(theta):
-        raise ValidationError(f"tilt angle must be finite, got {theta}")
+    theta = _finite_scalar(theta, f"tilt angle must be finite, got {_spell(theta, str)}")
     dist = as_distribution(priors)
     if dist.size != 2:
         raise ValidationError("the stored letter is a single bit: need two priors")
@@ -202,15 +202,13 @@ def random_povm(n: int, outcomes: int, seed: int) -> list[np.ndarray]:
     """Seeded random POVM: Ginibre blocks whitened to sum to the identity."""
     _check_size(outcomes, "number of POVM outcomes")
     _check_size(n, "dimension")
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(outcomes):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks.append(g @ g.conj().T)
-    total = sum(blocks)
-    values, vectors = np.linalg.eigh(total)
+    # C order gives each outcome its real, then its imaginary (n, n) draw from the stream
+    draws = np.random.default_rng(seed).standard_normal((outcomes, 2, n, n))
+    g = draws[:, 0] + 1j * draws[:, 1]
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    values, vectors = np.linalg.eigh(sum(blocks))
     whitener = vectors @ np.diag(values ** -0.5) @ vectors.conj().T
-    return as_povm([whitener @ block @ whitener for block in blocks])
+    return as_povm(whitener @ blocks @ whitener)
 
 
 def _povm(effects, dim: int | None) -> np.ndarray:

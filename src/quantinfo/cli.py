@@ -299,7 +299,7 @@ def _cmd_wrongbasis(args):
     priors = _cli_distribution(args.priors, "prior vector")
     report = channel.wrong_basis_demo(args.theta, priors)
     return [{"theta": args.theta, "priors": priors,
-             "joint": [list(map(float, row)) for row in report.joint]},
+             "joint": report.joint.tolist()},
             ("source_entropy", report.source_entropy, "H(A)   = {:.6f} bits"),
             ("outcome_entropy", report.outcome_entropy, "H(B)   = {:.6f} bits"),
             ("conditional_entropy", report.conditional, "H(A|B) = {:.6f} bits"),

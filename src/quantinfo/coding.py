@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _check_size, _entropy, _spell, as_distribution
+from .probability import _check_size, _entropy, _finite_scalar, _spell, as_distribution
 
 # Type classes, not sequences. The slowest block rate at the cap (6 symbols,
 # k = 17, 26,334 classes) takes about 0.6 s on a 2-vCPU Xeon VM; 2^16 would
@@ -58,8 +58,10 @@ def typical_set(p, block_length: int, epsilon: float) -> TypicalSetReport:
     N <= 2^53, n^N <= 2^53).
     """
     probs = _possible(p)
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValidationError("epsilon must be positive")
+    message = "epsilon must be positive"
+    epsilon = _finite_scalar(epsilon, message)
+    if not epsilon > 0.0:
+        raise ValidationError(message)
     classes = _type_classes(probs, block_length)
     entropy = _entropy(probs)
     count = 0

@@ -51,13 +51,9 @@ def build_mubs(n: int) -> list[np.ndarray]:
         x = np.array([[1, 1], [1, -1]], dtype=complex) * inv_sqrt2
         y = np.array([[1, 1], [1j, -1j]], dtype=complex) * inv_sqrt2
         return [z, x, y]
-    bases = [np.eye(n, dtype=complex)]
-    l = np.arange(n)
-    for k in range(n):
-        phase = (k * l[:, None] ** 2 + l[:, None] * l[None, :]) % n
-        basis = np.exp(2j * np.pi * phase / n) / np.sqrt(n)
-        bases.append(_fix_column_phases(basis))
-    return bases
+    k, l, m = np.ogrid[:n, :n, :n]  # basis k, component l, vector m
+    bases = np.exp(2j * np.pi * ((k * l ** 2 + l * m) % n) / n) / np.sqrt(n)
+    return [np.eye(n, dtype=complex), *_fix_column_phases(bases)]
 
 
 def verify_unbiased(bases) -> DeviationReport:

@@ -59,9 +59,11 @@ def quadratic_information(p, norm: float = 1.0) -> float:
     Ranges from 0 (uniform) to norm * (1 - 1/n) (deterministic) for the
     default norm = 1.
     """
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise ValidationError("normalization constant must be positive")
-    return float(_quadratic(as_distribution(p), norm))
+    message = "normalization constant must be positive"
+    norm = _finite_scalar(norm, message)
+    if not norm > 0.0:
+        raise ValidationError(message)
+    return float(norm * _quadratic(as_distribution(p)))
 
 
 def grouping_residual(p) -> float:
@@ -255,11 +257,34 @@ def _spell(value, form=repr) -> str:
 
 
 def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
-    """np.asarray, or a C-ordered copy, that rejects a ragged list such as matrices of two sizes."""
+    """np.asarray, or a C-ordered copy, that rejects a ragged list such as matrices of two sizes.
+
+    For dtype float a complex input passes only if every imaginary part is within TOL,
+    the window a Hermitian part gets; numpy's cast would drop it with a mere warning.
+    """
+    imag = 0.0
     try:
-        return np.array(values, dtype=dtype, order="C") if copy else np.asarray(values, dtype=dtype)
+        arr = np.asarray(values)
+        if dtype is float and arr.dtype.kind == "c":
+            imag, arr = np.max(np.abs(arr.imag), initial=0.0), arr.real
+        arr = np.array(arr, dtype=dtype, order="C") if copy else np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ValidationError(f"{what}: mismatched dimensions or non-numeric entries") from exc
+    if not imag <= TOL:  # a NaN fails too
+        raise ValidationError(f"{what} entries must be real, got an imaginary part of {imag:.3e}")
+    return arr
+
+
+def _finite_scalar(value, message: str) -> float:
+    """A finite real number as a float, converted as _as_array converts; anything else
+    (a non-numeric string, None, an array, an int past the float range, inf) raises message."""
+    try:
+        arr = _as_array(value, float, message)
+    except ValidationError:
+        raise ValidationError(message) from None
+    if arr.ndim or not np.isfinite(arr):
+        raise ValidationError(message)
+    return float(arr)
 
 
 # Kernels below take arrays that a validator above has already checked. The
@@ -286,8 +311,8 @@ def _entropy(probs: np.ndarray):
     return 0.0 - np.einsum("...i,...i->...", probs, logs)
 
 
-def _quadratic(probs: np.ndarray, norm: float = 1.0):
-    return norm * ((probs - 1.0 / probs.shape[-1]) ** 2).sum(axis=-1)
+def _quadratic(probs: np.ndarray):
+    return ((probs - 1.0 / probs.shape[-1]) ** 2).sum(axis=-1)
 
 
 def _conditional_entropy(table: np.ndarray):

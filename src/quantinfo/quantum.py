@@ -109,7 +109,7 @@ def spin_basis(direction) -> np.ndarray:
 def basis_projectors(basis) -> list[np.ndarray]:
     """Rank-1 projectors onto the columns of a basis."""
     u = as_basis(basis)
-    return [np.outer(u[:, i], u[:, i].conj()) for i in range(u.shape[1])]
+    return list(u.T[:, :, None] * u.T.conj()[:, None, :])
 
 
 def born_probabilities(rho, basis) -> np.ndarray:
@@ -283,10 +283,11 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fix_column_phases(matrix: np.ndarray) -> np.ndarray:
-    """Rotate each unit column so its first component of modulus above 1e-12 is real positive."""
-    out = matrix.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        out[:, j] = col * (lead.conjugate() / abs(lead))
-    return out
+    """Rotate each unit column so its first component of modulus above 1e-12 is real positive.
+
+    Leading axes batch. The modulus is hypot(re, im), which scalar abs computes:
+    np.abs of a complex array rounds some moduli differently in the last bit.
+    """
+    rows = np.argmax(np.abs(matrix) > 1e-12, axis=-2)[..., None, :]
+    lead = np.take_along_axis(matrix, rows, axis=-2)
+    return matrix * (lead.conj() / np.hypot(lead.real, lead.imag))

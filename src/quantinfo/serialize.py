@@ -25,7 +25,7 @@ def state_to_json(matrix) -> dict:
         raise ValidationError("expected a nonempty square matrix")
     return {
         "dim": int(arr.shape[0]),
-        "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in arr],
+        "matrix": np.stack((arr.real, arr.imag), axis=-1).tolist(),
     }
 
 
@@ -53,7 +53,7 @@ def state_from_json(doc) -> np.ndarray:
 def ensemble_to_json(ensemble: CqEnsemble) -> dict:
     return {
         "letters": list(ensemble.letters),
-        "priors": [float(p) for p in ensemble.priors],
+        "priors": ensemble.priors.tolist(),
         "states": [state_to_json(rho) for rho in ensemble.states],
     }
 

@@ -35,6 +35,7 @@ from quantinfo import channel
 from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
 from quantinfo.probability import _mutual_information
 from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
+from test_quantum import assert_same_bits
 
 ZERO = pure_state([1, 0])
 ONE = pure_state([0, 1])
@@ -132,6 +133,28 @@ class TestPovmValidation:
         again = random_povm(3, 4, seed=5)
         for a, b in zip(effects, again):
             assert np.array_equal(a, b)
+
+
+def reference_random_povm(n, outcomes, seed):
+    """random_povm one Ginibre block at a time: the batched form must match its bits."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(outcomes):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        blocks.append(g @ g.conj().T)
+    values, vectors = np.linalg.eigh(sum(blocks))
+    whitener = vectors @ np.diag(values ** -0.5) @ vectors.conj().T
+    return as_povm([whitener @ block @ whitener for block in blocks])
+
+
+def test_random_povm_matches_block_by_block_draws():
+    for seed in range(2000):
+        n, outcomes = 2 + seed % 5, 1 + seed // 5 % 6
+        effects = random_povm(n, outcomes, seed)
+        reference = reference_random_povm(n, outcomes, seed)
+        assert isinstance(effects, list) and len(effects) == len(reference) == outcomes
+        for effect, want in zip(effects, reference):
+            assert_same_bits(effect, want)
 
 
 class TestJointDistribution:

@@ -468,6 +468,15 @@ class TestChannelCommands:
         assert payload["conditional_entropy"] == pytest.approx(0.811278, abs=1e-5)
         assert np.allclose(payload["joint"], [[0.375, 0.125], [0.125, 0.375]], atol=1e-12)
 
+    @pytest.mark.parametrize("theta, priors", [
+        ("0", "1,-0"), ("-0", "1,-0"), ("1.5707963267948966", "1,-0"), ("3", "1,-0"),
+        ("1", "0.5,0.5"), ("0.7", "0.8,0.2"), ("3.141592653589793", "0,1")])
+    def test_wrongbasis_joint_keeps_its_bits(self, capsys, theta, priors):
+        # a prior of -0 gives a row of signed zeros
+        _, payload, _ = cli_json(capsys, "wrongbasis", "--theta", theta, "--priors", priors)
+        joint = quantinfo.wrong_basis_demo(float(theta), [float(p) for p in priors.split(",")]).joint
+        assert json.dumps(payload["joint"]) == json.dumps([list(map(float, row)) for row in joint])
+
     def test_wrongbasis_infinite_theta_rejected(self, capsys):
         code, out, err = cli(capsys, "wrongbasis", "--theta", "inf")
         assert (code, out) == (1, "")

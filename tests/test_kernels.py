@@ -96,6 +96,26 @@ def test_one_eigenspace_step():
     assert sum(isinstance(n, ast.Attribute) and n.attr == "eigh" for n in ast.walk(node)) == 1
 
 
+# constructions written as the array formula they implement
+WHOLE_ARRAY_FORMS = {
+    ("quantum", "_fix_column_phases"),
+    ("quantum", "basis_projectors"),
+    ("mub", "build_mubs"),
+    ("channel", "random_povm"),
+    ("serialize", "state_to_json"),
+}
+
+
+def test_constructions_loop_over_nothing():
+    found = {(module, name): node for module, name, node in source_functions()}
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for key in WHOLE_ARRAY_FORMS:
+        assert not any(isinstance(n, loops) for n in ast.walk(found[key])), key
+    # the quadratic kernel takes no norm: quadratic_information scales its result
+    kernel = found[("probability", "_quadratic")]
+    assert [arg.arg for arg in kernel.args.args] == ["probs"]
+
+
 def test_no_function_takes_a_tolerance():
     # every window is a module constant, and the entry-by-entry pass behind _clamp
     # only picks the error message for an input the fast test already refused

@@ -25,6 +25,7 @@ from quantinfo import (
 from quantinfo import mub
 from quantinfo.probability import TOL, _checked
 from test_channel import traced_peak
+from test_quantum import ODD_PRIMES, assert_same_bits, quadratic_phase_bases, reference_fix_column_phases
 
 
 def reference_hyperplane(bases):
@@ -103,6 +104,15 @@ class TestConstruction:
         # 46 * 45^3 entries fit under the cap, so 45 still reaches the primality test
         with pytest.raises(ValidationError, match="only for n = 2 and odd primes, got 45$"):
             build_mubs(45)
+
+    @pytest.mark.parametrize("n", ODD_PRIMES)
+    def test_matches_the_basis_by_basis_construction(self, n):
+        bases = build_mubs(n)
+        reference = [np.eye(n, dtype=complex), *map(reference_fix_column_phases, quadratic_phase_bases(n))]
+        assert len(bases) == len(reference) == n + 1
+        for basis, want in zip(bases, reference):
+            assert_same_bits(basis, want)
+            assert basis.flags.c_contiguous and basis.flags.writeable
 
     def test_qutrit_cross_overlaps_are_exactly_flat(self):
         bases = build_mubs(3)

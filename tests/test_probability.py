@@ -374,6 +374,59 @@ def test_rejecting_a_huge_integer_names_its_size(call):
     assert time.perf_counter() - start < 0.1
 
 
+REAL_ONLY_CALLS = {
+    "entropy": (lambda: shannon_entropy(np.array([0.5 + 0.7j, 0.5 - 3j])),
+                "probability vector entries must be real, got an imaginary part of 3.000e+00"),
+    "distribution": (lambda: as_distribution(np.array([0.5 + 1j, 0.5])),
+                     "probability vector entries must be real, got an imaginary part of 1.000e+00"),
+    "bloch-state": (lambda: quantinfo.bloch_state(np.array([0, 0, 0.5j])),
+                    "Bloch vector entries must be real, got an imaginary part of 5.000e-01"),
+    "spin-basis": (lambda: quantinfo.spin_basis(np.array([1j, 0, 1])),
+                   "direction vector entries must be real, got an imaginary part of 1.000e+00"),
+    "complex-scalar": (lambda: _as_array(np.complex64(0.5 + 0.25j), float, "value"),
+                       "value entries must be real, got an imaginary part of 2.500e-01"),
+    "list-of-complex-arrays": (lambda: as_joint_distribution([np.array([0.5, 0j]), np.array([0, 0.5 + 2e-9j])]),
+                               "joint probability table entries must be real, got an imaginary part of 2.000e-09"),
+    "nan-imaginary-part": (lambda: as_distribution(np.array([0.5 + np.nan * 1j, 0.5])),
+                           "probability vector entries must be real, got an imaginary part of nan"),
+}
+
+
+@pytest.mark.parametrize("call, message", REAL_ONLY_CALLS.values(), ids=REAL_ONLY_CALLS.keys())
+def test_complex_input_is_rejected_not_truncated(call, message):
+    # numpy's float cast keeps the real part and only warns (ComplexWarning)
+    assert outcome(call) == ((ValidationError, message), set())
+
+
+@pytest.mark.parametrize("imag, accepted", [
+    (INSIDE_TOL, True), (-INSIDE_TOL, True), (OUTSIDE_TOL, False), (-OUTSIDE_TOL, False),
+], ids=["inside", "inside-negative", "outside", "outside-negative"])
+def test_imaginary_parts_share_the_verdict_window(imag, accepted):
+    got, warned = outcome(as_distribution, np.array([0.25 + imag * 1j, 0.75]))
+    assert warned == set()
+    if accepted:
+        assert got.tobytes() == as_distribution([0.25, 0.75]).tobytes()
+        assert np.array_equal(quantinfo.bloch_state(np.array([0, 0, 1 + imag * 1j])), quantinfo.bloch_state([0, 0, 1]))
+    else:
+        assert got == (ValidationError, f"probability vector entries must be real, got an imaginary part of {abs(imag):.3e}")
+
+
+SCALAR_PARAMETERS = {
+    "norm": (lambda x: quadratic_information([0.5, 0.5], norm=x), "normalization constant must be positive"),
+    "theta": (lambda x: quantinfo.wrong_basis_demo(x), "tilt angle must be finite, got "),
+    "epsilon": (lambda x: quantinfo.typical_set([0.5, 0.5], 4, x), "epsilon must be positive"),
+}
+NOT_SCALARS = {"string": "abc", "none": None, "array": np.array([0.1, 0.2]), "int-past-float-range": 10 ** 400}
+
+
+@pytest.mark.parametrize("value", NOT_SCALARS.values(), ids=NOT_SCALARS.keys())
+@pytest.mark.parametrize("call, message", SCALAR_PARAMETERS.values(), ids=SCALAR_PARAMETERS.keys())
+def test_scalar_parameters_reject_what_is_not_a_finite_real(call, message, value):
+    (error, text), warned = outcome(call, value)
+    assert (error, warned) == (ValidationError, set())
+    assert text.startswith(message)
+
+
 class TestShannonEntropy:
     def test_three_outcome_value(self):
         assert shannon_entropy([0.5, 1 / 3, 1 / 6]) == pytest.approx(1.459148, abs=1e-5)

@@ -32,7 +32,7 @@ from quantinfo import (
     von_neumann_entropy,
 )
 from quantinfo.probability import TOL, _checked
-from quantinfo.quantum import _check_matrices
+from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _check_matrices, _fix_column_phases
 from test_probability import assert_same_outcome, outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
@@ -550,6 +550,77 @@ class TestBases:
         assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
         assert np.array_equal(u, random_basis(5, seed=70))
         assert not np.array_equal(u, random_basis(5, seed=71))
+
+
+def assert_same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def reference_fix_column_phases(matrix):
+    """The column phase rule one column at a time, with the scalar abs: the whole-array form must match its bits."""
+    out = matrix.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        out[:, j] = col * (lead.conjugate() / abs(lead))
+    return out
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def quadratic_phase_bases(n):
+    """The n non-computational Wootters-Fields bases for odd prime n, one at a time, before any phase fix."""
+    l = np.arange(n)
+    for k in range(n):
+        phase = (k * l[:, None] ** 2 + l[:, None] * l[None, :]) % n
+        yield np.exp(2j * np.pi * phase / n) / np.sqrt(n)
+
+
+def phase_rule_inputs():
+    """12,279 matrices: 5,000 Haar bases at n = 2-10; 5,000 spin eigenbases, one in five along
+    a signed axis; the 279 non-identity MUB bases for the odd primes 3-43; and 2,000 unit
+    columns whose first entry is 0, +-1e-13 or 2e-12."""
+    for seed in range(5000):
+        yield random_basis(2 + seed % 9, seed)
+    rng = np.random.default_rng(24)
+    for i in range(5000):
+        x, y, z = (-1) ** (i // 3) * np.eye(3)[i % 3] if i % 5 == 0 else rng.standard_normal(3)
+        yield np.linalg.eigh(x * PAULI_X + y * PAULI_Y + z * PAULI_Z)[1][:, ::-1]
+    for n in ODD_PRIMES:
+        yield from quadratic_phase_bases(n)
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        col /= np.linalg.norm(col)
+        col[0] = (0.0, 1e-13, -1e-13, 2e-12)[seed % 4]
+        yield col[:, None]
+
+
+class TestWholeArrayForms:
+    """The phase rule and the projectors, pinned bit for bit to their one-column-at-a-time forms."""
+
+    def test_phase_rule_matches_the_column_loop(self):
+        count = 0
+        for matrix in phase_rule_inputs():
+            assert_same_bits(_fix_column_phases(matrix), reference_fix_column_phases(matrix))
+            count += 1
+        assert count == 12279
+
+    def test_phase_rule_batches_over_leading_axes(self):
+        stack = np.stack([random_basis(5, seed) for seed in range(6)]).reshape(2, 3, 5, 5)
+        fixed = _fix_column_phases(stack)
+        for index in np.ndindex(2, 3):
+            assert_same_bits(fixed[index], reference_fix_column_phases(stack[index]))
+
+    def test_projectors_match_outer_products(self):
+        for seed in range(2000):
+            u = random_basis(1 + seed % 8, seed)
+            projectors = basis_projectors(u)
+            assert isinstance(projectors, list) and len(projectors) == len(u)
+            for i, projector in enumerate(projectors):
+                assert_same_bits(projector, np.outer(u[:, i], u[:, i].conj()))
 
 
 class TestRandomDensity:

@@ -77,6 +77,36 @@ class TestStateDocuments:
             state_to_json(np.ones((2, 3)))
 
 
+def signed_zero_matrix(seed):
+    """A complex n x n matrix (n = 1-5) with exact zeros of both signs in its real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 5
+    matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    matrix.real[rng.random((n, n)) < 0.3] = 0.0
+    matrix.real[rng.random((n, n)) < 0.3] = -0.0
+    matrix.imag[rng.random((n, n)) < 0.3] = 0.0
+    matrix.imag[rng.random((n, n)) < 0.3] = -0.0
+    return matrix
+
+
+def test_state_text_matches_entry_by_entry_floats():
+    for seed in range(2000):
+        matrix = signed_zero_matrix(seed)
+        reference = {"dim": len(matrix),
+                     "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in matrix]}
+        assert json.dumps(state_to_json(matrix)) == json.dumps(reference)
+
+
+def test_ensemble_priors_keep_their_bits():
+    for seed in range(200):
+        priors = np.random.default_rng(seed).dirichlet(np.ones(3))
+        priors[seed % 3] = (0.0, -0.0)[seed % 2]
+        ensemble = cq_ensemble(priors / priors.sum(), [random_density(2, seed + k) for k in range(3)])
+        reference = [float(p) for p in ensemble.priors]
+        assert json.dumps(ensemble_to_json(ensemble)["priors"]) == json.dumps(reference)
+    assert ensemble_to_json(cq_ensemble([1.0, -0.0], [np.eye(2) / 2] * 2))["priors"] == [1.0, -0.0]
+
+
 class TestEnsembleDocuments:
     def test_round_trip(self):
         ens = cq_ensemble([0.5, 0.5], [pure_state([1, 0]), pure_state([1, 1])], ("0", "+"))
