@@ -27,6 +27,8 @@ from .probability import (
 from .quantum import (
     _PAULI_XYZ,
     _as_matrices,
+    _born,
+    _ginibre,
     _haar_basis,
     _spectrum,
     _trace_product,
@@ -202,9 +204,7 @@ def random_povm(n: int, outcomes: int, seed: int) -> list[np.ndarray]:
     """Seeded random POVM: Ginibre blocks whitened to sum to the identity."""
     _check_size(outcomes, "number of POVM outcomes")
     _check_size(n, "dimension")
-    # C order gives each outcome its real, then its imaginary (n, n) draw from the stream
-    draws = np.random.default_rng(seed).standard_normal((outcomes, 2, n, n))
-    g = draws[:, 0] + 1j * draws[:, 1]
+    g = _ginibre(np.random.default_rng(seed), outcomes, n, n)
     blocks = g @ g.conj().swapaxes(-1, -2)
     values, vectors = np.linalg.eigh(sum(blocks))
     whitener = vectors @ np.diag(values ** -0.5) @ vectors.conj().T
@@ -286,9 +286,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int) -> np.ndarray:
     states = ensemble.states
 
     def score(basis: np.ndarray) -> float:
-        # p(a, i) = prior_a <u_i| rho_a |u_i>, computed without revalidation
-        born = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
-        return _mutual_information(_joint(priors, born))
+        return _mutual_information(_joint(priors, _born(states, basis)))
 
     seeds = np.random.SeedSequence(seed).spawn(HILL_CLIMB_RESTARTS)
     best_value = -np.inf
@@ -299,7 +297,7 @@ def _hill_climb_basis(ensemble: CqEnsemble, seed: int) -> np.ndarray:
         current = score(basis)
         step = 0.5
         for _ in range(HILL_CLIMB_STEPS):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g = _ginibre(rng, n, n)
             generator = (g + g.conj().T) / 2.0
             values, vectors = np.linalg.eigh(step * generator)
             rotation = vectors @ np.diag(np.exp(1j * values)) @ vectors.conj().T

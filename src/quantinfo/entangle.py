@@ -117,19 +117,15 @@ def info_split(rho) -> InfoSplit:
 
 @functools.cache
 def _question_stack() -> tuple[tuple[str, ...], np.ndarray]:
-    """The nine questions' labels and a read-only (9, 4, 4) stack of their projectors, built on first use."""
-    eye = np.eye(2, dtype=complex)
-    labels, projectors = [], []
-    for axis in "xyz":
-        up = (eye + PAULIS[axis]) / 2.0
-        labels += [f"spin 1 up along {axis}", f"spin 2 up along {axis}"]
-        projectors += [np.kron(up, eye), np.kron(eye, up)]
-    for axis in "xyz":
-        labels.append(f"spins agree along {axis}")
-        projectors.append((np.eye(4, dtype=complex) + np.kron(PAULIS[axis], PAULIS[axis])) / 2.0)
-    stack = np.stack(projectors)
+    """The nine questions' labels and a read-only (9, 4, 4) stack of projectors (I + P) / 2, P a Pauli product."""
+    labels, pairs = zip(
+        ("spin 1 up along x", "x1"), ("spin 2 up along x", "1x"),
+        ("spin 1 up along y", "y1"), ("spin 2 up along y", "1y"),
+        ("spin 1 up along z", "z1"), ("spin 2 up along z", "1z"),
+        ("spins agree along x", "xx"), ("spins agree along y", "yy"), ("spins agree along z", "zz"))
+    stack = np.stack([(np.eye(4, dtype=complex) + pauli_product(*pair)) / 2.0 for pair in pairs])
     stack.flags.writeable = False
-    return tuple(labels), stack
+    return labels, stack
 
 
 def _question_information(state: np.ndarray, questions: np.ndarray):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic, _spell
+from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic, _renormalize, _spell
 from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
 
 HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the hyperplane check's count * n^3 operators
@@ -105,7 +105,7 @@ def information_by_basis(rho, bases) -> np.ndarray:
     if checked.shape[1] != n:
         raise ValidationError(
             f"bases are {checked.shape[1]}-dimensional but the state is {n}-dimensional")
-    return _quadratic(_born(state, checked))
+    return _quadratic(_renormalize(_born(state, checked)))
 
 
 def reconstruct(prob_lists, bases) -> np.ndarray:

@@ -277,12 +277,12 @@ def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
 
 def _finite_scalar(value, message: str) -> float:
     """A finite real number as a float, converted as _as_array converts; anything else
-    (a non-numeric string, None, an array, an int past the float range, inf) raises message."""
+    (a bool, a non-numeric string, None, an array, an int past the float range, inf) raises message."""
     try:
         arr = _as_array(value, float, message)
     except ValidationError:
         raise ValidationError(message) from None
-    if arr.ndim or not np.isfinite(arr):
+    if arr.ndim or not np.isfinite(arr) or np.asarray(value).dtype == bool:
         raise ValidationError(message)
     return float(arr)
 

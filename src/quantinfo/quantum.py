@@ -114,7 +114,7 @@ def basis_projectors(basis) -> list[np.ndarray]:
 
 def born_probabilities(rho, basis) -> np.ndarray:
     """Outcome distribution p_i = <u_i|rho|u_i> of a projective measurement."""
-    return _born(*_state_and_basis(rho, basis))
+    return _renormalize(_born(*_state_and_basis(rho, basis)))
 
 
 def luders_update(rho, basis) -> np.ndarray:
@@ -124,7 +124,7 @@ def luders_update(rho, basis) -> np.ndarray:
     eigenbasis of rho leaves it unchanged.
     """
     state, u = _state_and_basis(rho, basis)
-    return (u * _born(state, u)) @ u.conj().T
+    return (u * _renormalize(_born(state, u))) @ u.conj().T
 
 
 def spectrum(rho) -> np.ndarray:
@@ -179,8 +179,7 @@ def random_density(n: int, seed: int, rank: int | None = None) -> np.ndarray:
     r = n if rank is None else rank
     if not (_is_int(r) and 1 <= r <= n):
         raise ValidationError(f"rank must be an integer in 1..{n}, got {_spell(r)}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    g = _ginibre(np.random.default_rng(seed), n, r)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -193,9 +192,16 @@ def random_basis(n: int, seed: int) -> np.ndarray:
 
 def _haar_basis(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-random n x n unitary from rng: QR of a complex Ginibre matrix, R's diagonal phases moved into Q."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_ginibre(rng, n, n))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Complex Gaussian (Ginibre) matrices of shape (*lead, rows, cols).
+
+    Each (rows, cols) block takes its real part, then its imaginary part, from rng's stream."""
+    draws = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
 
 
 def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:
@@ -265,12 +271,12 @@ def _check_huge_matrices(arr: np.ndarray, kind: str) -> np.ndarray:
     return quarter
 
 
-# Kernels below take a state from as_density and a basis from as_basis, batch over
-# a stack of either, and reject nothing: Born weights and spectra drift by the
-# validators' windows, so _renormalize zeroes their negatives and rescales rows.
+# Kernels below take a state from as_density and a basis from as_basis, batch over a stack
+# of either, and reject nothing. Born weights and spectra drift by the validators' windows:
+# _spectrum repairs its rows, _born returns raw weights that are repaired where a distribution forms.
 
 def _born(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _renormalize(np.einsum("...ji,jk,...ki->...i", u.conj(), state, u).real)
+    return np.einsum("...ji,...jk,...ki->...i", u.conj(), state, u).real
 
 
 def _spectrum(state: np.ndarray) -> np.ndarray:

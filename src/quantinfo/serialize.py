@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import CqEnsemble, cq_ensemble
 from .errors import ValidationError
-from .probability import _as_array
+from .probability import _as_array, _is_int
 from .quantum import bloch_state
 
 
@@ -43,7 +43,7 @@ def state_from_json(doc) -> np.ndarray:
             raise ValidationError('"matrix" must be a nonempty square list of rows of [re, im] pairs')
         arr = pairs.view(complex)[..., 0]  # each pair's two floats, bit for bit
     dim = doc.get("dim", arr.shape[0])
-    if type(dim) is not int:  # a JSON true is a Python bool, an int subclass
+    if not _is_int(dim):  # a JSON true is a Python bool, an int subclass
         raise ValidationError(f'"dim" must be an integer, got {dim!r}')
     if dim != arr.shape[0]:
         raise ValidationError(f'"dim" is {dim} but the matrix is {arr.shape[0]}x{arr.shape[1]}')

@@ -35,7 +35,7 @@ from quantinfo import channel
 from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
 from quantinfo.probability import _mutual_information
 from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
-from test_quantum import assert_same_bits
+from test_quantum import assert_same_bits, reference_random_density
 
 ZERO = pure_state([1, 0])
 ONE = pure_state([0, 1])
@@ -155,6 +155,71 @@ def test_random_povm_matches_block_by_block_draws():
         assert isinstance(effects, list) and len(effects) == len(reference) == outcomes
         for effect, want in zip(effects, reference):
             assert_same_bits(effect, want)
+
+
+def test_random_povm_matches_one_batched_draw():
+    # the spelling random_povm had before the shared Ginibre draw: one (outcomes, 2, n, n) call
+    for seed in range(2000):
+        n, outcomes = 1 + seed % 8, 1 + seed // 8 % 5
+        draws = np.random.default_rng(seed).standard_normal((outcomes, 2, n, n))
+        g = draws[:, 0] + 1j * draws[:, 1]
+        blocks = g @ g.conj().swapaxes(-1, -2)
+        values, vectors = np.linalg.eigh(sum(blocks))
+        whitener = vectors @ np.diag(values ** -0.5) @ vectors.conj().T
+        reference = as_povm(whitener @ blocks @ whitener)
+        effects = random_povm(n, outcomes, seed)
+        assert len(effects) == len(reference) == outcomes
+        for effect, want in zip(effects, reference):
+            assert_same_bits(effect, want)
+
+
+def test_random_ensemble_matches_two_draw_states():
+    for seed in range(2000):
+        n, size = 1 + seed % 8, 1 + seed // 8 % 4
+        rng = np.random.default_rng(seed)
+        priors = rng.dirichlet(np.ones(size))
+        child_seeds = rng.integers(0, 2**63 - 1, size=size)
+        reference = cq_ensemble(priors, [reference_random_density(n, int(s)) for s in child_seeds])
+        ensemble = random_ensemble(n, size, seed)
+        assert ensemble.letters == reference.letters
+        assert_same_bits(ensemble.priors, reference.priors)
+        assert_same_bits(ensemble.states, reference.states)
+
+
+def reference_hill_climb_basis(ensemble, seed):
+    """The hill climb with its own Born einsum and its rotations' two Gaussian draws, as spelled
+    before both moved to the shared kernels."""
+    n, priors, states = ensemble.dim, ensemble.priors, ensemble.states
+
+    def score(basis):
+        born = np.einsum("ji,ajk,ki->ai", basis.conj(), states, basis).real
+        return _mutual_information(_joint(priors, born))
+
+    best_value, best_basis = -np.inf, None
+    for child in np.random.SeedSequence(seed).spawn(channel.HILL_CLIMB_RESTARTS):
+        rng = np.random.default_rng(child)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        basis = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        current, step = score(basis), 0.5
+        for _ in range(channel.HILL_CLIMB_STEPS):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            values, vectors = np.linalg.eigh(step * (g + g.conj().T) / 2.0)
+            candidate = vectors @ np.diag(np.exp(1j * values)) @ vectors.conj().T @ basis
+            candidate_value = score(candidate)
+            if candidate_value > current:
+                basis, current = candidate, candidate_value
+            else:
+                step *= 0.95
+        if current > best_value:
+            best_value, best_basis = current, basis
+    return best_basis
+
+
+@pytest.mark.parametrize("n, size, seed", [(3, 3, 0), (4, 3, 1)])
+def test_hill_climb_matches_its_own_spelling(n, size, seed):
+    ensemble = random_ensemble(n, size, seed=7000 + seed)
+    assert_same_bits(channel._hill_climb_basis(ensemble, seed), reference_hill_climb_basis(ensemble, seed))
 
 
 class TestJointDistribution:

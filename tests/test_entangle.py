@@ -20,7 +20,8 @@ from quantinfo import (
 )
 from quantinfo.entangle import _question_stack
 from quantinfo.probability import TOL
-from quantinfo.quantum import _as_matrices, _fix_column_phases
+from quantinfo.quantum import PAULIS, _as_matrices, _fix_column_phases
+from test_quantum import assert_same_bits
 
 BELL_PHI_PLUS = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
 PLUS_PLUS = pure_state(np.array([1, 1, 1, 1]) / 2)
@@ -104,6 +105,12 @@ class TestJointEigenstate:
         with pytest.raises(ValidationError, match="^answers must be a pair of eigenvalues$"):
             joint_eigenstate(pauli_product("x", "x"), pauli_product("y", "y"), answers)
 
+    def test_eigenvector_leaking_out_of_the_eigenspace_is_rejected(self):
+        # the commutator is 1e-9, inside TOL, and both eigenvalues of the first observable
+        # match answer 1; the second then picks (1, -1)/sqrt(2), which the first stretches
+        with pytest.raises(ValidationError, match=r"^joint eigenvector residual 5\.000e-01 too large$"):
+            joint_eigenstate(np.diag([1.0, 1.0 + 2e-9]), [[0.0, 0.5], [0.5, 0.0]], (1, 0))
+
 
 class TestPropositionInformation:
     def test_certain_answer(self):
@@ -152,6 +159,22 @@ class TestQuestionSets:
         for q in stack[6:]:
             assert np.allclose(q @ q, q, atol=1e-12)
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
+
+    def test_projectors_match_the_loops_they_replace(self):
+        # the individual questions were kron(up, 1) and kron(1, up) with up = (1 + sigma) / 2,
+        # the correlation questions (I + kron(sigma, sigma)) / 2, each in a loop over the axes
+        eye = np.eye(2, dtype=complex)
+        labels, projectors = [], []
+        for axis in "xyz":
+            up = (eye + PAULIS[axis]) / 2.0
+            labels += [f"spin 1 up along {axis}", f"spin 2 up along {axis}"]
+            projectors += [np.kron(up, eye), np.kron(eye, up)]
+        for axis in "xyz":
+            labels.append(f"spins agree along {axis}")
+            projectors.append((np.eye(4, dtype=complex) + np.kron(PAULIS[axis], PAULIS[axis])) / 2.0)
+        got_labels, stack = _question_stack()
+        assert got_labels == tuple(labels)
+        assert_same_bits(stack, np.stack(projectors))
 
     def test_stack_is_read_only(self):
         _, stack = _question_stack()

@@ -1,10 +1,11 @@
 """Validators reject, kernels repair.
 
 The public functions validate their inputs once; the kernels behind them
-(_born, _spectrum, _joint, _question_information) zero rounding negatives and
-rescale rows, and reject nothing. These tests pin that split: inputs every
-validator accepts must come out as clean distributions, and no kernel may
-call the boundary clamp again.
+(_born, _spectrum, _joint, _question_information) reject nothing. _born returns
+raw Born weights; the others, and every caller that forms a distribution from
+_born, zero rounding negatives and rescale rows. These tests pin that split:
+inputs every validator accepts must come out as clean distributions, and no
+kernel may call the boundary clamp again.
 """
 
 from __future__ import annotations
@@ -79,14 +80,37 @@ def contracts_trace(call) -> bool:
     return (i, j) == (l, k) and i != j and i not in output and j not in output
 
 
+def call_sites(matches):
+    """(number of matching calls anywhere in the package, (module, function) of each inside a top-level function)."""
+    calls = [call for path in sorted(Path(quantinfo.__file__).parent.glob("*.py"))
+             for call in ast.walk(ast.parse(path.read_text())) if matches(call)]
+    sites = [(module, name) for module, name, node in source_functions()
+             for call in ast.walk(node) if matches(call)]
+    return len(calls), sites
+
+
 def test_one_trace_kernel():
     # every Tr(AB) in the package (purity, Born and Bloch weights, question answers) sums in one order
-    calls = [call for path in sorted(Path(quantinfo.__file__).parent.glob("*.py"))
-             for call in ast.walk(ast.parse(path.read_text())) if contracts_trace(call)]
-    sites = [(module, name) for module, name, node in source_functions()
-             for call in ast.walk(node) if contracts_trace(call)]
-    assert len(calls) == 1
-    assert sites == [("quantum", "_trace_product")]
+    assert call_sites(contracts_trace) == (1, [("quantum", "_trace_product")])
+
+
+def test_one_gaussian_draw():
+    # every seeded state, basis, POVM and hill-climb rotation takes its real, then its imaginary parts
+    # from the stream in one layout
+    def draws(call):
+        return isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "standard_normal"
+
+    assert call_sites(draws) == (1, [("quantum", "_ginibre")])
+
+
+def test_one_born_contraction():
+    # <u_i|rho|u_i> is spelled once; the only other three-operand einsum is the MUB reconstruction
+    def three_operands(call):
+        return (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "einsum"
+                and bool(call.args) and isinstance(call.args[0], ast.Constant)
+                and call.args[0].value.partition("->")[0].count(",") == 2)
+
+    assert call_sites(three_operands) == (2, [("mub", "reconstruct"), ("quantum", "_born")])
 
 
 def test_one_eigenspace_step():

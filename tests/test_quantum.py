@@ -31,8 +31,8 @@ from quantinfo import (
     total_information,
     von_neumann_entropy,
 )
-from quantinfo.probability import TOL, _checked
-from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _check_matrices, _fix_column_phases
+from quantinfo.probability import TOL, _checked, _renormalize
+from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _born, _check_matrices, _fix_column_phases
 from test_probability import assert_same_outcome, outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
@@ -621,6 +621,67 @@ class TestWholeArrayForms:
             assert isinstance(projectors, list) and len(projectors) == len(u)
             for i, projector in enumerate(projectors):
                 assert_same_bits(projector, np.outer(u[:, i], u[:, i].conj()))
+
+
+def reference_random_density(n, seed, rank=None):
+    """random_density with its real and imaginary parts drawn by two calls, as it was spelled
+    before the shared Ginibre draw: the shared draw must match its bits."""
+    rng = np.random.default_rng(seed)
+    r = n if rank is None else rank
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_random_basis(n, seed):
+    """random_basis with its two draws spelled out, as reference_random_density."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def born_inputs(count, rng, states):
+    """count (states, basis) pairs at n = 1-8: a checked stack of `states` Ginibre states of
+    every rank, and a Haar basis, or for every third pair a stack of n + 1 bases."""
+    for i in range(count):
+        n, rank = 1 + i % 8, 1 + i // 8 % (1 + i % 8)
+        g = rng.standard_normal((states + n + 1, n, n)) + 1j * rng.standard_normal((states + n + 1, n, n))
+        rho = g[:states, :, :rank] @ g[:states, :, :rank].conj().swapaxes(-1, -2)
+        checked = _check_matrices(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], 3, "density")
+        bases = np.linalg.qr(g[states:])[0]
+        yield checked, bases if i % 3 == 0 else bases[0]
+
+
+class TestSharedPrimitives:
+    """The one Gaussian draw and the one Born contraction, pinned bit for bit to the spellings they replaced."""
+
+    def test_random_density_matches_two_draws(self):
+        for seed in range(2000):
+            n = 1 + seed % 8
+            rank = None if seed % 3 == 0 else 1 + seed // 8 % n
+            assert_same_bits(random_density(n, seed, rank), reference_random_density(n, seed, rank))
+
+    def test_random_basis_matches_two_draws(self):
+        for seed in range(2000):
+            n = 1 + seed % 8
+            assert_same_bits(random_basis(n, seed), reference_random_basis(n, seed))
+
+    def test_born_matches_the_one_state_contraction(self):
+        # the contraction with the state unbroadcast, which _born spelled before it batched over states
+        def reference(state, u):
+            return np.einsum("...ji,jk,...ki->...i", u.conj(), state, u).real
+
+        for (state,), u in born_inputs(6000, np.random.default_rng(25), states=1):
+            assert_same_bits(_born(state, u), reference(state, u))
+            if u.ndim == 2:  # the public weights: validated again, then renormalized
+                assert_same_bits(born_probabilities(state, u), _renormalize(reference(as_density(state), u)))
+
+    def test_born_matches_the_hill_climb_contraction(self):
+        # a stack of letters' states under one basis, as the hill climb scored them with its own einsum
+        for states, bases in born_inputs(6000, np.random.default_rng(26), states=3):
+            u = bases if bases.ndim == 2 else bases[-1]
+            assert_same_bits(_born(states, u), np.einsum("ji,ajk,ki->ai", u.conj(), states, u).real)
 
 
 class TestRandomDensity:

@@ -18,6 +18,7 @@ from quantinfo import (
     state_from_json,
     state_to_json,
 )
+from test_quantum import assert_same_bits
 
 
 class TestStateDocuments:
@@ -58,6 +59,12 @@ class TestStateDocuments:
     def test_dim_must_be_an_integer(self, doc, dim):
         with pytest.raises(ValidationError, match='"dim" must be an integer'):
             state_from_json({**doc, "dim": dim})
+
+    @pytest.mark.parametrize("dim", [np.int64(2), np.int32(2)])
+    def test_numpy_integer_dim_accepted(self, dim):
+        # a Python caller's dim passes as every size check passes it; JSON yields no numpy integer
+        doc = state_to_json(np.eye(2) / 2)
+        assert_same_bits(state_from_json({**doc, "dim": dim}), state_from_json(doc))
 
     def test_bloch_dim_cross_check(self):
         assert state_from_json({"bloch": [0.0, 0.0, 1.0], "dim": 2}).shape == (2, 2)
