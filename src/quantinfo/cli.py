@@ -2,7 +2,8 @@
 
 Every subcommand maps onto one library operation. Exit codes: 0 on success,
 1 when an input fails validation, 2 on usage errors. --json switches any
-subcommand to a single machine-readable object with all inputs echoed.
+subcommand to a single machine-readable object with all inputs echoed, in
+which a non-finite number (an empty typical set's rate) is null.
 
 Each _cmd_* handler returns one record, a list that run() alone renders. A
 (key, value, text) triple is a result in both modes: the JSON object gets
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,7 +55,7 @@ def run(argv=None) -> int:
             lines.append(text.format(value))
     try:
         if args.json:
-            print(json.dumps(payload))
+            print(json.dumps(_finite_or_null(payload), allow_nan=False))
         else:
             for line in lines:
                 print(line)
@@ -63,6 +65,15 @@ def run(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0 if payload.get("passed", True) else 1
+
+
+def _finite_or_null(value):
+    """The payload with each non-finite float as None, printed as null: JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,30 +12,30 @@ from .errors import ValidationError
 from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize, _spell
 
 _SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
+_NORM2_CAP = float(np.finfo(float).max) / 4.0  # a matrix stack's squared norm stays below this
 
-# one read-only (3, 2, 2) stack; the named Paulis are views of it
-_PAULI_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-_PAULI_XYZ.flags.writeable = False
+# one read-only (4, 2, 2) stack of 1, x, y, z; the named Paulis are views of it
+_PAULI_1XYZ = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_1XYZ.flags.writeable = False
+_PAULI_XYZ = _PAULI_1XYZ[1:]
 PAULI_X, PAULI_Y, PAULI_Z = _PAULI_XYZ
-PAULIS = {
-    "1": np.eye(2, dtype=complex),
-    "x": PAULI_X,
-    "y": PAULI_Y,
-    "z": PAULI_Z,
-}
+PAULIS = dict(zip("1xyz", _PAULI_1XYZ))
 
 
 def as_hermitian(matrix) -> np.ndarray:
-    """Validate Hermiticity within TOL and return the symmetrized matrix (M + M*)/2."""
+    """Validate Hermiticity within TOL and return the symmetrized matrix (M + M*)/2.
+
+    Rejects a squared Frobenius norm from a quarter of the float maximum up (entries
+    from about 6.7e153), so no sum or product formed from the matrix overflows."""
     return _as_matrices(matrix, 2, "hermitian")
 
 
 def as_density(matrix) -> np.ndarray:
     """Validate a density operator: Hermitian, unit trace, positive semidefinite.
 
-    The trace is renormalized to exactly 1 when within tolerance; eigenvalues
-    down to -TOL are accepted as rounding noise.
-    """
+    A trace within TOL of 1 is divided out unless it is off by n float64 epsilons or less,
+    the rounding a division leaves, so a checked state passes unchanged. Eigenvalues down
+    to -TOL pass as rounding noise; the size bound is as_hermitian's."""
     return _as_matrices(matrix, 2, "density")
 
 
@@ -214,10 +214,10 @@ def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
-    """The one matrix validator: a finite square matrix (ndim 2) or a stack of them (ndim 3).
+    """The one matrix validator: a square matrix (ndim 2) or a stack (ndim 3), squared norm below _NORM2_CAP.
 
     kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
-    "density" also renormalizes a trace within TOL of 1 and rejects
+    "density" also divides out a trace within TOL of 1 (past rounding) and rejects
     eigenvalues below -TOL. Each distinct input is checked once.
     """
     return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind)
@@ -226,11 +226,13 @@ def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
 def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
         raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
-    # The squared Frobenius norm is finite unless an entry is not (or it overflows):
-    # one call, where isfinite needs two, and none of the warnings a deviation
-    # computed from an infinite entry would raise.
-    if not np.vdot(arr, arr).real < np.inf:
-        return _check_huge_matrices(arr, kind)
+    # One squared Frobenius norm tests every entry: it reaches the cap when an entry is
+    # not finite, or when a difference or product formed from the matrices downstream
+    # could overflow (|A - B|^2 <= 2(|A|^2 + |B|^2), and the entries of AB are at most |A| |B|).
+    if not np.vdot(arr, arr).real < _NORM2_CAP:
+        if not np.isfinite(arr).all():
+            raise ValidationError("matrix entries must be finite")
+        raise ValidationError(f"matrix entries too large: squared norm must be below {_NORM2_CAP:.3e}")
     if kind == "basis":
         if np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max() > TOL:
             raise ValidationError("basis columns are not orthonormal within tolerance")
@@ -245,30 +247,13 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
         drift = abs(traces - 1.0)
         if np.count_nonzero(drift > TOL):
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
-        arr /= traces[..., None, None]
+        off = drift > arr.shape[-1] * 2.0**-52  # n ulps or less: an earlier division's rounding
+        if np.count_nonzero(off):
+            arr /= np.where(off, traces, 1.0)[..., None, None]
         smallest = np.linalg.eigvalsh(arr)[..., 0]
         if np.count_nonzero(smallest < -TOL):
             raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
     return arr
-
-
-def _check_huge_matrices(arr: np.ndarray, kind: str) -> np.ndarray:
-    """_check_matrices for entries that are not finite or whose squares overflow (above about 1e154)."""
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix entries must be finite")
-    # a state's entries have modulus at most 1, a basis' columns unit norm
-    if kind == "basis":
-        raise ValidationError("basis columns are not orthonormal within tolerance")
-    if kind == "density":
-        raise ValidationError("density operator entries must have modulus at most 1")
-    # quarter scale keeps the deviation's modulus and the symmetrized sum finite
-    quarter = arr * 0.25
-    adjoint = quarter.conj().swapaxes(-1, -2)
-    if np.abs(quarter - adjoint).max() > TOL / 4.0:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    quarter += adjoint
-    quarter *= 2.0
-    return quarter
 
 
 # Kernels below take a state from as_density and a basis from as_basis, batch over a stack

@@ -55,8 +55,15 @@ def cli(capsys, *argv):
 
 def cli_json(capsys, *argv):
     code, out, err = cli(capsys, *argv, "--json")
-    payload = json.loads(out)
+    payload = strict_json(out)
     return code, payload, err
+
+
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which RFC 8259 JSON has no token for."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture()
@@ -490,6 +497,13 @@ class TestCodingCommands:
         assert code == 0
         assert payload["count"] == 45
         assert payload["rate"] == pytest.approx(0.549, abs=1e-3)
+
+    def test_empty_typical_set_rate_is_null(self, capsys):
+        # no sequence is typical, so the rate is -inf: null in JSON, unchanged in the text
+        argv = ("coding", "--dist", "0.9,0.1", "--block", "1", "--epsilon", "0.1")
+        code, payload, _ = cli_json(capsys, *argv)
+        assert (code, payload["count"], payload["rate"]) == (0, 0, None)
+        assert "rate = -inf bits/symbol" in cli(capsys, *argv)[1]
 
     def test_coding_bad_block(self, capsys):
         code, _, _ = cli(capsys, "coding", "--dist", "0.8,0.2",

@@ -40,6 +40,13 @@ class TestPauliProduct:
         with pytest.raises(ValidationError):
             pauli_product("x", "w")
 
+    @pytest.mark.parametrize("label", list("1xyz"))
+    def test_paulis_are_read_only(self, label):
+        # a write to a shared Pauli would change every later product
+        with pytest.raises(ValueError):
+            PAULIS[label][0, 0] = 5.0
+        np.testing.assert_array_equal(pauli_product("1", "z"), np.diag([1, -1, 1, -1]))
+
 
 class TestJointEigenstate:
     def test_xx_yy_picks_a_bell_state(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from quantinfo import (
     as_basis,
     as_density,
     as_hermitian,
+    as_povm,
     basis_projectors,
     bloch_state,
     bloch_vector,
@@ -17,8 +20,10 @@ from quantinfo import (
     hs_distance,
     hs_inner_product,
     is_pure,
+    joint_eigenstate,
     luders_update,
     majorizes,
+    proposition_information,
     pure_state,
     purity,
     quadratic_information,
@@ -36,6 +41,8 @@ from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _born, _check_matrices,
 from test_probability import assert_same_outcome, outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
+NORM2_CAP = np.finfo(float).max / 4.0
+TOO_LARGE = "matrix entries too large: squared norm must be below 4.494e+307"
 
 
 class TestValidation:
@@ -128,21 +135,33 @@ class TestValidation:
     def test_huge_entries_rejected_as_density(self, matrix):
         # the symmetrized sum used to overflow to a NaN state or a LinAlgError
         (result, caught) = outcome(as_density, matrix)
-        assert result == (ValidationError, "density operator entries must have modulus at most 1")
+        assert result == (ValidationError, TOO_LARGE)
         assert caught == set()
 
-    def test_huge_hermitian_stays_finite(self):
-        matrix = np.array([[1e308, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, -1.79e308]])
+    def test_huge_hermitian_rejected(self):
+        # rejected whatever its skew, with no warning on the way
+        for huge in ([[1e308, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, -1.79e308]],
+                     [[0.0, 1.7e308], [-1.7e308, 0.0]], [[1e308, 2e-9], [0.0, 0.0]],
+                     [[6.71e153, 0.0], [0.0, 0.0]]):
+            assert outcome(as_hermitian, huge) == ((ValidationError, TOO_LARGE), set())
+        # just below the bound: symmetrized exactly, the skew judged at the full tolerance
+        matrix = np.array([[6e153, 1e153 + 1e153j], [1e153 - 1e153j, -1e153]])
         (out, caught) = outcome(as_hermitian, matrix)
         assert caught == set()
-        assert np.isfinite(out).all()
         np.testing.assert_array_equal(out, matrix)
-        # the skew is judged at the full tolerance on this branch too
-        for skewed in ([[0.0, 1.7e308], [-1.7e308, 0.0]], [[1e308, 2e-9], [0.0, 0.0]]):
-            (result, caught) = outcome(as_hermitian, skewed)
-            assert result == (ValidationError, "matrix is not Hermitian within tolerance")
-            assert caught == set()
-        assert as_hermitian([[1e308, 5e-10], [0.0, 0.0]])[0, 1] == 2.5e-10
+        (result, caught) = outcome(as_hermitian, [[6e153, 2e-9], [0.0, 0.0]])
+        assert (result, caught) == ((ValidationError, "matrix is not Hermitian within tolerance"), set())
+        assert as_hermitian([[6e153, 5e-10], [0.0, 0.0]])[0, 1] == 2.5e-10
+
+    def test_density_check_is_idempotent(self):
+        # checking a checked state, or stack, again returns its bits unchanged
+        for i in range(600):
+            n = 1 + i % 8
+            rho = random_density(n, seed=6000 + i) * (1.0 + (i % 6) * 1e-10)  # trace drift up to 5e-10
+            stack = np.stack([rho, random_density(n, seed=7000 + i)])
+            for arr, ndim in ((rho, 2), (stack, 3)):
+                once = _check_matrices(arr, ndim, "density")
+                assert _check_matrices(once.copy(), ndim, "density").tobytes() == once.tobytes()
 
     def test_bloch_length_enforced(self):
         with pytest.raises(ValidationError):
@@ -232,7 +251,10 @@ class TestValidationMemo:
 
 
 def reference_check_matrices(arr, ndim, kind, tol):
-    """_check_matrices as it was before it tested finiteness through one norm: isfinite first."""
+    """_check_matrices as it was before it tested finiteness and size through one norm: isfinite first.
+
+    It does not reject entries past the size bound, so it agrees with _check_matrices only below it.
+    """
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
         raise ValidationError(f"expected a nonempty square matrix{'' if ndim == 2 else ' stack'}")
     if not np.isfinite(arr).all():
@@ -250,7 +272,9 @@ def reference_check_matrices(arr, ndim, kind, tol):
         drift = abs(traces - 1.0)
         if np.count_nonzero(drift > TOL):
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
-        arr = arr / traces[..., None, None]
+        off = drift > arr.shape[-1] * np.finfo(float).eps  # a smaller drift is rounding: not divided
+        if off.any():
+            arr = arr / np.where(off, traces, 1.0)[..., None, None]
         smallest = np.linalg.eigvalsh(arr)[..., 0]
         if np.count_nonzero(smallest < -TOL):
             raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
@@ -273,6 +297,8 @@ MATRIX_EDGES = {
     "imaginary-inf": ([[0.5, complex(0.0, INF)], [complex(0.0, -INF), 0.5]], 2),
     "large-finite": ([[1e200, 0.0], [0.0, 1e200]], 2),
     "symmetrizing-overflows": ([[1e308, 0.0], [0.0, 0.0]], 2),
+    "below-norm-bound": ([[6.7e153, 0.0], [0.0, 0.0]], 2),
+    "at-norm-bound": ([[6.71e153, 0.0], [0.0, 0.0]], 2),
     "stack-one-nan": ([np.eye(2) / 2, [[0.5, 0.0], [0.0, NAN]], np.eye(2) / 2], 3),
     "stack-one-inf-diagonal": ([np.eye(2) / 2, [[INF, 0.0], [0.0, 0.5]]], 3),
     "stack-one-skew": ([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], 3),
@@ -296,28 +322,17 @@ MATRIX_EDGES = {
 
 
 def huge_entries(arr):
-    """Finite entries whose squared norm overflows (above about 1e154)."""
-    return bool(np.isfinite(arr).all()) and not np.vdot(arr, arr).real < np.inf
+    """Finite entries whose squared norm reaches the bound (about 6.7e153 for one entry)."""
+    return bool(np.isfinite(arr).all()) and not np.vdot(arr, arr).real < NORM2_CAP
 
 
 def assert_huge_outcome(arr, ndim, kind):
-    """No warning; a state or a basis is rejected; a Hermitian matrix gives a finite (M + M*)/2."""
-    got, caught = outcome(_check_matrices, arr, ndim, kind)
-    assert caught == set()
-    if arr.ndim != ndim:
-        assert got[0] is ValidationError
-        return
-    wide = arr.astype(np.clongdouble)  # no overflow in the reference arithmetic
-    adjoint = wide.conj().swapaxes(-1, -2)
-    if kind != "hermitian" or np.abs(wide - adjoint).max() > TOL:
-        assert got[0] is ValidationError
-        return
-    assert np.isfinite(got).all()
-    np.testing.assert_allclose(got, ((wide + adjoint) / 2).astype(complex), rtol=1e-15, atol=0)
+    """Rejected as too large, whatever the kind, with no warning."""
+    assert outcome(_check_matrices, arr, ndim, kind) == ((ValidationError, TOO_LARGE), set())
 
 
 def assert_matches_reference(arr, ndim, kind):
-    """The reference's outcome, except on the overflow branch, which only _check_matrices handles."""
+    """The reference's outcome below the size bound; past it, the rejection only _check_matrices makes."""
     if huge_entries(arr):
         assert_huge_outcome(arr, ndim, kind)
     else:
@@ -327,10 +342,9 @@ def assert_matches_reference(arr, ndim, kind):
 class TestMatrixCheckMatchesReference:
     """Testing finiteness through one norm keeps every verdict, message and output bit.
 
-    Finite entries whose squares overflow are the exception: the reference
-    overflows there with a warning and may return NaN or inf, while
-    _check_matrices rejects a state or a basis and returns a finite
-    Hermitian matrix.
+    Finite entries whose squared norm reaches a quarter of the float maximum
+    are the exception: _check_matrices rejects them, where the reference
+    accepts some and may overflow on them with a warning.
     """
 
     @pytest.mark.parametrize("kind", ["hermitian", "density", "basis"])
@@ -360,7 +374,7 @@ class TestMatrixCheckMatchesReference:
         make = random_basis if kind == "basis" else random_density
         arr = np.stack([make(n, seed=seed + j) for j in range(count)])
         specials = st.sampled_from([NAN, INF, -INF, complex(INF, NAN), complex(0.0, INF),
-                                    -0.0, 1e200, 1e308, 1e-10])
+                                    -0.0, 1e200, 1e308, 6.7e153, 6.71e153, 1e-10])
         for _ in range(data.draw(st.integers(0, 3))):
             b, i, j = (data.draw(st.integers(0, k - 1)) for k in (count, n, n))
             value = data.draw(specials)
@@ -370,6 +384,37 @@ class TestMatrixCheckMatchesReference:
         if count == 1 and data.draw(st.booleans()):
             arr = arr[0]
         assert_matches_reference(arr, arr.ndim, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_matrix_functions_reject_or_stay_finite(data):
+    # at every scale of the entries, a function taking a Hermitian matrix rejects it
+    # or returns finite numbers, and no overflow warning is raised on the way
+    n = data.draw(st.integers(1, 3))
+    exponent = data.draw(st.one_of(st.integers(0, 307), st.floats(153.0, 155.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    h = (g + g.conj().T) * (0.5 * 10.0 ** exponent)
+    eye = np.eye(n)
+    top = float(np.linalg.eigvalsh(h)[-1])
+    calls = {
+        "as_hermitian": lambda: as_hermitian(h),
+        "smallest_eigenvalue": lambda: smallest_eigenvalue(h),
+        "hs_inner_product": lambda: hs_inner_product(h, h.T),
+        "hs_distance": lambda: hs_distance(h, -h),
+        "proposition_information": lambda: proposition_information(eye / n, h),
+        "joint_eigenstate": lambda: joint_eigenstate(np.kron(h, eye), np.kron(eye, h), (top, top)),
+        "as_povm": lambda: as_povm([h, eye - h]),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call()
+            except ValidationError:
+                continue
+        assert np.isfinite(np.asarray(result, dtype=complex)).all(), name
 
 
 class TestBornProbabilities:
