@@ -15,11 +15,12 @@ import numpy as np
 from .errors import ValidationError
 from .probability import (
     _check_size,
+    _check_work,
     _conditional_entropy,
     _entropy,
     _finite_scalar,
-    _is_int,
     _mutual_information,
+    _seed,
     _spell,
     TOL,
     as_distribution,
@@ -42,14 +43,8 @@ QUBIT_GRID = (180, 360)  # polar x azimuthal points of the exhaustive qubit scan
 _LOCAL_GRIDS = (5, 33)   # rounds of local grids after the scan, and points per axis of each
 _GRID_DIRECTIONS = QUBIT_GRID[0] * QUBIT_GRID[1] + _LOCAL_GRIDS[0] * _LOCAL_GRIDS[1] ** 2
 _GRID_BLOCK_WEIGHTS = 2**14  # Born weights the qubit search scores at once
-_GRID_MAX_WEIGHTS = 2**24    # Born weights one qubit search may score: up to 119 letters
 HILL_CLIMB_RESTARTS = 8  # random starting bases of the search above dimension 2
 HILL_CLIMB_STEPS = 200   # rotations tried from each starting basis
-# Each of the restarts x (steps + 1) bases the hill climb scores costs about (letters + 4)(n^3 + 128)
-# operations, fitted to measured times: letters x n Born weights of n^2 terms, a per-letter overhead of
-# about 128 terms, and a rotation (eigh, two products) worth four letters. 2**27 admits 534 qutrit
-# letters, or n = 23 at two, each about 0.6 s on a 2-vCPU VM.
-_HILL_CLIMB_MAX_COST = 2**27
 
 
 class CqEnsemble(NamedTuple):
@@ -143,26 +138,24 @@ def accessible_information(ensemble: CqEnsemble, seed: int = 0) -> AccessibleInf
     spin readouts, then nested local grids around the best point, so the
     qubit result is deterministic and seed-independent. No grid is built: each
     block of directions is formed, scored and dropped, so working memory stays
-    flat in the letter count while time grows linearly, up to _GRID_MAX_WEIGHTS.
+    flat in the letter count while time grows linearly with it.
     Higher dimensions use seeded hill climbing over bases (HILL_CLIMB_RESTARTS
-    x HILL_CLIMB_STEPS) and report a lower bound; an ensemble whose climb would
-    cost more than _HILL_CLIMB_MAX_COST operations, counted in letters and in
-    dimension, is rejected before any scoring. POVMs are excluded by design.
+    x HILL_CLIMB_STEPS) and report a lower bound. Either search is rejected
+    before any scoring when its cost, counted in letters and in dimension,
+    passes the work cap. POVMs are excluded by design.
     """
-    if not (_is_int(seed) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {_spell(seed)}")
-    if ensemble.dim == 2:
-        weights = 2 * ensemble.size * _GRID_DIRECTIONS  # two outcomes per letter and direction
-        if weights > _GRID_MAX_WEIGHTS:
-            raise ValidationError(f"{ensemble.size} qubit letters need {weights} Born weights, more than "
-                                  f"the search's cap of {_GRID_MAX_WEIGHTS}")
+    _seed(seed)
+    n = ensemble.dim
+    if n == 2:
+        # 8 units a Born weight, two outcomes per letter and direction: 119 letters pass
+        _check_work(16 * ensemble.size * _GRID_DIRECTIONS, f"{ensemble.size} qubit letters")
         basis, method = spin_basis(_best_qubit_direction(ensemble)), "grid"
     else:
-        n = ensemble.dim
-        cost = HILL_CLIMB_RESTARTS * (HILL_CLIMB_STEPS + 1) * (ensemble.size + 4) * (n**3 + 128)
-        if cost > _HILL_CLIMB_MAX_COST:
-            raise ValidationError(f"{ensemble.size} letters in dimension {n} need {cost} hill-climb operations, "
-                                  f"more than the search's cap of {_HILL_CLIMB_MAX_COST}")
+        # a unit per operation: each of restarts x (steps + 1) bases costs (letters + 4)(n^3 + 128), fitted to
+        # times: letters x n Born weights of n^2 terms, about 128 terms a letter, and a rotation (eigh, two
+        # products) worth four letters. 534 qutrit letters pass, or n = 23 at two letters.
+        _check_work(HILL_CLIMB_RESTARTS * (HILL_CLIMB_STEPS + 1) * (ensemble.size + 4) * (n**3 + 128),
+                    f"{ensemble.size} letters in dimension {n}")
         basis, method = _hill_climb_basis(ensemble, seed), "hill-climb"
     effects = tuple(basis_projectors(basis))
     return AccessibleInfo(measured_information(ensemble, effects), effects, method)
@@ -193,7 +186,7 @@ def wrong_basis_demo(theta: float, priors=(0.5, 0.5)) -> WrongBasisReport:
 def random_ensemble(n: int, size: int, seed: int) -> CqEnsemble:
     """Seeded random ensemble: Dirichlet priors over Ginibre states."""
     _check_size(size, "ensemble size")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     priors = rng.dirichlet(np.ones(size))
     child_seeds = rng.integers(0, 2**63 - 1, size=size)
     states = [random_density(n, int(s)) for s in child_seeds]
@@ -204,7 +197,7 @@ def random_povm(n: int, outcomes: int, seed: int) -> list[np.ndarray]:
     """Seeded random POVM: Ginibre blocks whitened to sum to the identity."""
     _check_size(outcomes, "number of POVM outcomes")
     _check_size(n, "dimension")
-    g = _ginibre(np.random.default_rng(seed), outcomes, n, n)
+    g = _ginibre(np.random.default_rng(_seed(seed)), outcomes, n, n)
     blocks = g @ g.conj().swapaxes(-1, -2)
     values, vectors = np.linalg.eigh(sum(blocks))
     whitener = vectors @ np.diag(values ** -0.5) @ vectors.conj().T
@@ -213,15 +206,10 @@ def random_povm(n: int, outcomes: int, seed: int) -> list[np.ndarray]:
 
 def _povm(effects, dim: int | None) -> np.ndarray:
     """as_povm's checks; returns the checked (outcomes, n, n) stack."""
-    checked = _as_matrices(effects, 3, "hermitian")
+    checked = _as_matrices(effects, 3, "effect")
     n = checked.shape[1]
     if dim is not None and n != dim:
         raise ValidationError(f"effects are {n}-dimensional, expected {dim}")
-    smallest = np.linalg.eigvalsh(checked)[:, 0]
-    negative = np.flatnonzero(smallest < -TOL)
-    if negative.size:
-        raise ValidationError(f"effect {negative[0]} is not positive semidefinite: "
-                              f"min eigenvalue {smallest[negative[0]]:.3e}")
     if np.max(np.abs(checked.sum(axis=0) - np.eye(n))) > TOL:
         raise ValidationError("effects do not sum to the identity")
     return checked

@@ -363,8 +363,6 @@ def _cmd_entangle(args):
         if len(labels) != 2 or any(len(lbl) != 2 for lbl in labels):
             raise ValidationError("--obs expects two two-letter Pauli products, e.g. 'xx,yy'")
         answers = _parse_floats(args.answers, "answers")
-        if len(answers) != 2:
-            raise ValidationError("--answers expects two eigenvalues")
         observables = [entangle.pauli_product(lbl[0], lbl[1]) for lbl in labels]
         rho = entangle.joint_eigenstate(observables[0], observables[1], answers)
         source = {"obs": labels, "answers": answers}

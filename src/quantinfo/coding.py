@@ -15,12 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import _check_size, _entropy, _finite_scalar, _spell, as_distribution
-
-# Type classes, not sequences. The slowest block rate at the cap (6 symbols,
-# k = 17, 26,334 classes) takes about 0.6 s on a 2-vCPU Xeon VM; 2^16 would
-# admit 6 symbols at k = 20, about 1.9 s.
-ENUMERATION_CAP = 2 ** 15
+from .probability import _check_size, _check_work, _entropy, _finite_scalar, _spell, as_distribution
 
 
 class TypicalSetReport(NamedTuple):
@@ -54,7 +49,7 @@ def typical_set(p, block_length: int, epsilon: float) -> TypicalSetReport:
     Sequences containing a zero-probability letter have infinite per-letter
     surprise and are never typical, so such letters are dropped first. The
     census runs over letter-count type classes of the other letters, so it is
-    exact for every block length with at most ENUMERATION_CAP classes (and
+    exact for every block length whose classes fit the work cap (and
     N <= 2^53, n^N <= 2^53).
     """
     probs = _possible(p)
@@ -115,8 +110,8 @@ def block_question_rate(p, block_length: int) -> float:
     block length, so it lies in [H(p), H(p) + 1/block_length). Zero-probability
     letters are dropped first: a block holding one never occurs, so it is
     never asked about. The product source has one weight per type class, so
-    the tree is built over (weight, multiplicity) runs and at most
-    ENUMERATION_CAP classes are accepted.
+    the tree is built over (weight, multiplicity) runs, and as many classes
+    are accepted as the work cap admits.
     """
     probs = _possible(p)
     runs = sorted((2.0 ** log_weight, multiplicity)
@@ -138,8 +133,8 @@ def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int
     of them. Classes come in lexicographic order of the counts. The log
     weight sums c_i log2 p_i over the letters in order, which must all be
     positive. Rejects block lengths that are not integers in [1, 2^53], more
-    than 2^53 sequences (multiplicities stay exact as floats) and more than
-    ENUMERATION_CAP classes.
+    than 2^53 sequences (multiplicities stay exact as floats) and more
+    classes than the work cap admits.
     """
     n = probs.size
     _check_size(block_length, "block length")
@@ -149,9 +144,8 @@ def _type_classes(probs: np.ndarray, block_length: int) -> list[tuple[float, int
     if block_length > 2 ** 53:  # one letter only: past 2^53 the block length is not exact as a float
         raise ValidationError(f"block length {_spell(block_length, str)} exceeds 2^53")
     classes = math.comb(block_length + n - 1, n - 1)
-    if classes > ENUMERATION_CAP:
-        raise ValidationError(f"{classes} type classes of {n}^{block_length} sequences "
-                              f"exceed the enumeration cap {ENUMERATION_CAP}")
+    # 4,096 units a class: the slowest block rate admitted, 6 letters at k = 17 (26,334 classes), took 0.4 s
+    _check_work(4096 * classes, f"{classes} type classes of {n}^{block_length} sequences")
     logs = [math.log2(x) for x in probs.tolist()]
     # one letter at a time: (log2 weight so far, multiplicity so far, letters
     # left); a class whose letters are all placed is finished, since every

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _quadratic, _renormalize
+from .probability import TOL, _finite_scalar, _quadratic, _renormalize
 from .quantum import (
     PAULIS, _as_matrices, _fix_column_phases, _trace_product, as_density, as_hermitian, pure_state)
 
@@ -51,10 +51,11 @@ def joint_eigenstate(obs_a, obs_b, answers) -> np.ndarray:
     a, b = _as_matrices([obs_a, obs_b], 3, "hermitian")
     if np.max(np.abs(a @ b - b @ a)) > TOL:
         raise ValidationError("observables do not commute")
+    message = "answers must be a pair of eigenvalues"
     try:
-        want_a, want_b = (float(x) for x in answers)
+        want_a, want_b = (_finite_scalar(x, message) for x in answers)
     except (TypeError, ValueError):
-        raise ValidationError("answers must be a pair of eigenvalues") from None
+        raise ValidationError(message) from None
 
     # subspace's orthonormal columns span the eigenspace found so far, starting from the whole space
     subspace = np.eye(len(a), dtype=complex)

@@ -12,10 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _as_array, _clamp, _is_int, _memo, _quadratic, _renormalize, _spell
+from .probability import TOL, _as_array, _check_work, _clamp, _is_int, _memo, _quadratic, _renormalize, _spell
 from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
-
-HYPERPLANE_MAX_ENTRIES = 2 ** 22  # complex entries in the hyperplane check's count * n^3 operators
 
 
 class DeviationReport(NamedTuple):
@@ -36,7 +34,7 @@ def build_mubs(n: int) -> list[np.ndarray]:
     For n = 2 these are the three Pauli eigenbases. For odd prime n the k-th
     non-computational basis has vector m with components
     exp(2*pi*i*(k*l^2 + m*l)/n)/sqrt(n); quadratic Gauss sums make distinct k
-    unbiased. An odd n past the hyperplane check's cap (n > 45) is rejected
+    unbiased. An odd n past the hyperplane check's work cap (n > 45) is rejected
     before trial division tests it for primality, and then composite and even
     n beyond 2. Every vector's first nonzero component is real positive.
     """
@@ -71,8 +69,8 @@ def hyperplane_orthogonality(bases) -> DeviationReport:
     independent; only the worst-pair scan is shared. The operators are
     Hermitian, so Tr(Pbar Qbar) = vec(Pbar)* . vec(Qbar): one product of each
     basis's operators with those of all later bases. Sets whose operators
-    would exceed HYPERPLANE_MAX_ENTRIES are rejected before they are built
-    (a complete set passes up to n = 43).
+    would pass the work cap are rejected before they are built (a complete
+    set passes up to n = 43).
     """
     checked = _common_dimension(bases)
     count, n = checked.shape[:2]
@@ -130,10 +128,9 @@ def reconstruct(prob_lists, bases) -> np.ndarray:
 
 
 def _check_hyperplane_size(count: int, n: int) -> None:
-    if count * n ** 3 > HYPERPLANE_MAX_ENTRIES:
-        raise ValidationError(
-            f"{_spell(count)} bases of dimension {_spell(n)} exceed the hyperplane check's cap of "
-            f"{HYPERPLANE_MAX_ENTRIES} complex entries")
+    # 32 units a complex entry of the count * n^3 deviation operators, which are held at once, so
+    # the rate bounds memory as well as time: n = 43 passes, its resident peak 58 MiB up, in about 0.7 s
+    _check_work(32 * count * n ** 3, f"{_spell(count)} bases of dimension {_spell(n)}")
 
 
 def _common_dimension(bases) -> np.ndarray:

@@ -17,6 +17,7 @@ ENTRY_TOL = 1e-12  # negative entries no worse than this are clamped to zero
 
 _MEMO_ENTRIES = 64           # passed checks the validator memo keeps
 _MEMO_MAX_BYTES = 8 * 1024   # larger arrays (a complete MUB set past n = 7) are never stored
+_WORK_CAP = 2**27  # work units one call may spend; each capped site states its cost in them (README, "Size caps")
 
 
 def as_distribution(p) -> np.ndarray:
@@ -144,7 +145,7 @@ def random_doubly_stochastic(n: int, seed: int) -> np.ndarray:
     have full support.
     """
     _check_size(n, "matrix size")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     weights = rng.dirichlet(np.ones(n + 1))
     out = np.zeros((n, n))
     rows = np.arange(n)
@@ -156,7 +157,7 @@ def random_doubly_stochastic(n: int, seed: int) -> np.ndarray:
 def random_distribution(n: int, seed: int) -> np.ndarray:
     """Seeded draw from the flat Dirichlet measure on the n-simplex."""
     _check_size(n, "distribution size")
-    return np.random.default_rng(seed).dirichlet(np.ones(n))
+    return np.random.default_rng(_seed(seed)).dirichlet(np.ones(n))
 
 
 # Entries near the float maximum can sum to inf. Such an input gets its
@@ -248,6 +249,19 @@ def _check_size(n, what: str) -> None:
         raise ValidationError(f"{what} must be an integer >= 1, got {_spell(n)}")
 
 
+def _seed(seed):
+    """seed if it is a nonnegative integer; None (fresh entropy), a bool, a float or a list is rejected."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {_spell(seed)}")
+    return seed
+
+
+def _check_work(units: int, what: str) -> None:
+    """Reject a call whose work, units of the one budget counted on Python ints, passes _WORK_CAP."""
+    if units > _WORK_CAP:
+        raise ValidationError(f"{what} need {_spell(units)} work units, more than the work cap of {_WORK_CAP}")
+
+
 def _spell(value, form=repr) -> str:
     """form(value) for a rejection message, or the bit length of an int too long to print (over 4,300 digits)."""
     try:
@@ -277,7 +291,9 @@ def _as_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
 
 def _finite_scalar(value, message: str) -> float:
     """A finite real number as a float, converted as _as_array converts; anything else
-    (a bool, a non-numeric string, None, an array, an int past the float range, inf) raises message."""
+    (a bool, a string, None, an array, an int past the float range, inf) raises message."""
+    if isinstance(value, (str, bytes)):  # numpy would read "0.5" as 0.5
+        raise ValidationError(message)
     try:
         arr = _as_array(value, float, message)
     except ValidationError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize, _spell
+from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize, _seed, _spell
 
 _SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
 _NORM2_CAP = float(np.finfo(float).max) / 4.0  # a matrix stack's squared norm stays below this
@@ -179,7 +179,7 @@ def random_density(n: int, seed: int, rank: int | None = None) -> np.ndarray:
     r = n if rank is None else rank
     if not (_is_int(r) and 1 <= r <= n):
         raise ValidationError(f"rank must be an integer in 1..{n}, got {_spell(r)}")
-    g = _ginibre(np.random.default_rng(seed), n, r)
+    g = _ginibre(np.random.default_rng(_seed(seed)), n, r)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -187,7 +187,7 @@ def random_density(n: int, seed: int, rank: int | None = None) -> np.ndarray:
 def random_basis(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random orthonormal basis (QR with phase fixing)."""
     _check_size(n, "dimension")
-    return _haar_basis(np.random.default_rng(seed), n)
+    return _haar_basis(np.random.default_rng(_seed(seed)), n)
 
 
 def _haar_basis(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -217,8 +217,8 @@ def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
     """The one matrix validator: a square matrix (ndim 2) or a stack (ndim 3), squared norm below _NORM2_CAP.
 
     kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
-    "density" also divides out a trace within TOL of 1 (past rounding) and rejects
-    eigenvalues below -TOL. Each distinct input is checked once.
+    "effect" also rejects eigenvalues below -TOL, and "density" first divides out a trace
+    within TOL of 1 (past rounding). Each distinct input is checked once.
     """
     return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind)
 
@@ -250,9 +250,13 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
         off = drift > arr.shape[-1] * 2.0**-52  # n ulps or less: an earlier division's rounding
         if np.count_nonzero(off):
             arr /= np.where(off, traces, 1.0)[..., None, None]
+    if kind != "hermitian":
         smallest = np.linalg.eigvalsh(arr)[..., 0]
-        if np.count_nonzero(smallest < -TOL):
-            raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
+        negative = smallest < -TOL
+        if np.count_nonzero(negative):
+            first = int(np.argmax(negative))  # a stack names its first failing member
+            raise ValidationError(f"matrix{'' if ndim == 2 else f' {first}'} is not positive semidefinite: "
+                                  f"min eigenvalue {np.ravel(smallest)[first]:.3e}")
     return arr
 
 
@@ -279,6 +283,7 @@ def _fix_column_phases(matrix: np.ndarray) -> np.ndarray:
     Leading axes batch. The modulus is hypot(re, im), which scalar abs computes:
     np.abs of a complex array rounds some moduli differently in the last bit.
     """
-    rows = np.argmax(np.abs(matrix) > 1e-12, axis=-2)[..., None, :]
-    lead = np.take_along_axis(matrix, rows, axis=-2)
-    return matrix * (lead.conj() / np.hypot(lead.real, lead.imag))
+    rows = np.argmax(np.abs(matrix) > 1e-12, axis=-2)
+    # plain indexing, an open grid over any leading axes, costs less than take_along_axis
+    lead = matrix[(*np.indices((*rows.shape[:-1], 1), sparse=True)[:-1], rows, np.arange(rows.shape[-1]))]
+    return matrix * (lead.conj() / np.hypot(lead.real, lead.imag))[..., None, :]

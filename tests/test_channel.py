@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +36,9 @@ from quantinfo import (
     von_neumann_entropy,
     wrong_basis_demo,
 )
-from quantinfo import channel
+from quantinfo import channel, probability
 from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
-from quantinfo.probability import _mutual_information
+from quantinfo.probability import TOL, _mutual_information
 from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
 from test_quantum import assert_same_bits, reference_random_density
 
@@ -117,6 +122,15 @@ class TestPovmValidation:
     def test_negative_effect(self):
         with pytest.raises(ValidationError):
             as_povm([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])])
+
+    @pytest.mark.parametrize("check", [as_povm, lambda effects: joint_distribution(ZERO_PLUS, effects)],
+                             ids=["as-povm", "joint-distribution"])
+    def test_positivity_names_the_first_failing_effect(self, check):
+        # the matrix check judges positivity for effects as for states, before the sum rule
+        with pytest.raises(ValidationError) as caught:
+            check([np.eye(2) / 2, np.diag([0.7, 0.5]), np.diag([-0.2, 0.0])])
+        assert str(caught.value) == "matrix 2 is not positive semidefinite: min eigenvalue -2.000e-01"
+        check([np.diag([1.0, 1.0 + TOL]), np.diag([0.0, -TOL])])  # -TOL is rounding noise
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="mismatched dimensions"):
@@ -389,6 +403,38 @@ def reference_best_qubit_direction(ensemble):
     return _direction(theta, phi)
 
 
+BOUNDED_CHILD = """
+import json, sys, time
+import numpy as np
+from quantinfo import *
+
+np.linalg.eigh(np.eye(3) @ np.eye(3))  # BLAS and LAPACK reserve their buffers before the peak is read
+if sys.platform == "linux":  # RLIMIT_AS and /proc/self/status are Linux's; elsewhere the case runs unbounded
+    import resource
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmPeak:"))
+    resource.setrlimit(resource.RLIMIT_AS, (peak + {headroom}, resource.getrlimit(resource.RLIMIT_AS)[1]))
+{source}
+print(json.dumps(out))
+"""
+
+
+def run_bounded(source: str, headroom_mb: int):
+    """Run source in a child whose address space may grow only headroom_mb past its peak after
+    `import quantinfo`, and return the JSON-able `out` that source sets.
+
+    RLIMIT_AS binds the child alone, and only on Linux; a case past its bound ends in MemoryError,
+    failing here. The child turns every warning into an error, as the in-process suite does."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (str(Path(channel.__file__).resolve().parents[1]),
+                                                     os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-W", "error", "-c",
+                           BOUNDED_CHILD.format(headroom=headroom_mb * 2**20, source=source)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def traced_peak(call):
     """Peak bytes traced while call() runs, above what was held when it started."""
     started = not tracemalloc.is_tracing()
@@ -438,19 +484,21 @@ class TestBlockedQubitGrid:
 
 
 class TestQubitLetterCap:
-    # 70,245 directions score two Born weights per letter: 2**24 weights admit 119 letters
-    LARGEST = channel._GRID_MAX_WEIGHTS // (2 * channel._GRID_DIRECTIONS)
+    # 70,245 directions score two Born weights per letter at 8 work units each: 2**27 units admit 119 letters
+    LARGEST = probability._WORK_CAP // (16 * channel._GRID_DIRECTIONS)
 
     def test_cap_counts_every_scored_weight(self):
         assert channel._GRID_DIRECTIONS == QUBIT_GRID[0] * QUBIT_GRID[1] + 5 * 33 ** 2
         assert self.LARGEST == 119
 
     def test_largest_accepted_count_finishes(self):
-        ens = random_ensemble(2, self.LARGEST, seed=1500)
-        started = time.perf_counter()
-        result = accessible_information(ens)
-        assert time.perf_counter() - started < 10.0  # about 0.7 s on a 2-vCPU VM
-        assert 0.0 <= result.value <= holevo_chi(ens)
+        # about 0.6 s on a 2-vCPU VM; the child's peak grew about 40 MB
+        seconds, value, chi = run_bounded(
+            f"ens = random_ensemble(2, {self.LARGEST}, seed=1500)\n"
+            "start = time.perf_counter()\nresult = accessible_information(ens)\n"
+            "out = [time.perf_counter() - start, result.value, holevo_chi(ens)]", headroom_mb=64)
+        assert seconds < 10.0
+        assert 0.0 <= value <= chi
 
     def test_next_count_rejected_before_the_search(self, monkeypatch):
         def unreachable(ensemble):
@@ -459,24 +507,26 @@ class TestQubitLetterCap:
         monkeypatch.setattr(channel, "_best_qubit_direction", unreachable)
         with pytest.raises(ValidationError) as caught:
             accessible_information(random_ensemble(2, self.LARGEST + 1, seed=1501))
-        assert str(caught.value) == ("120 qubit letters need 16858800 Born weights, "
-                                     "more than the search's cap of 16777216")
+        assert str(caught.value) == ("120 qubit letters need 134870400 work units, "
+                                     "more than the work cap of 134217728")
 
 
 class TestHillClimbCap:
     # the cost counts letters and dimension: 534 qutrit letters, or n = 23 at two letters
     @pytest.mark.parametrize("n, letters", [(3, 534), (23, 2)], ids=["letters", "dimension"])
     def test_largest_accepted_input_finishes(self, n, letters):
-        ens = random_ensemble(n, letters, seed=1600)
-        started = time.perf_counter()
-        result = accessible_information(ens)
-        assert time.perf_counter() - started < 10.0  # about 0.6 s on a 2-vCPU VM
-        assert result.method == "hill-climb"
-        assert 0.0 <= result.value <= holevo_chi(ens) + 1e-9
+        # about 0.5 s on a 2-vCPU VM; the child's peak grew about 40 MB
+        seconds, value, chi, method = run_bounded(
+            f"ens = random_ensemble({n}, {letters}, seed=1600)\n"
+            "start = time.perf_counter()\nresult = accessible_information(ens)\n"
+            "out = [time.perf_counter() - start, result.value, holevo_chi(ens), result.method]", headroom_mb=64)
+        assert seconds < 10.0
+        assert method == "hill-climb"
+        assert 0.0 <= value <= chi + 1e-9
 
     @pytest.mark.parametrize("n, letters, message", [
-        (3, 535, "535 letters in dimension 3 need 134340360 hill-climb operations"),
-        (24, 2, "2 letters in dimension 24 need 134608896 hill-climb operations"),
+        (3, 535, "535 letters in dimension 3 need 134340360 work units"),
+        (24, 2, "2 letters in dimension 24 need 134608896 work units"),
     ], ids=["letters", "dimension"])
     def test_next_input_rejected_before_the_search(self, n, letters, message, monkeypatch):
         def unreachable(ensemble, seed):
@@ -485,7 +535,7 @@ class TestHillClimbCap:
         monkeypatch.setattr(channel, "_hill_climb_basis", unreachable)
         with pytest.raises(ValidationError) as caught:
             accessible_information(random_ensemble(n, letters, seed=1601))
-        assert str(caught.value) == message + ", more than the search's cap of 134217728"
+        assert str(caught.value) == message + ", more than the work cap of 134217728"
 
 
 class TestWrongBasisDemo:
@@ -552,3 +602,24 @@ class TestRandomEnsemble:
 def test_generator_sizes_must_be_integers(make):
     with pytest.raises(ValidationError, match="integer"):
         make()
+
+
+SEEDED = {
+    "distribution": lambda seed: random_distribution(3, seed),
+    "doubly-stochastic": lambda seed: random_doubly_stochastic(3, seed),
+    "density": lambda seed: random_density(2, seed),
+    "basis": lambda seed: random_basis(2, seed),
+    "ensemble": lambda seed: random_ensemble(2, 2, seed),
+    "povm": lambda seed: random_povm(2, 2, seed),
+    "accessible": lambda seed: accessible_information(ZERO_PLUS, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), 1.5, "a", None, True, [1, 2]],
+                         ids=["negative", "numpy-negative", "float", "string", "none", "bool", "list"])
+@pytest.mark.parametrize("draw", SEEDED.values(), ids=SEEDED.keys())
+def test_seeds_must_be_nonnegative_integers(draw, seed):
+    # numpy raised its own ValueError or TypeError for some, and took None as fresh entropy
+    with pytest.raises(ValidationError, match=r"^seed must be a nonnegative integer, got "):
+        draw(seed)
+    assert draw(np.uint64(7)) is not None

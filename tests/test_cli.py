@@ -147,7 +147,7 @@ def test_unreadable_json_file_is_rejected(capsys, tmp_path, command, content):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["mub-verify", "--dim", str(2 ** 61 - 1)], "exceed the hyperplane check's cap"),
+    (["mub-verify", "--dim", str(2 ** 61 - 1)], "2305843009213693952 bases of dimension 2305843009213693951 need"),
     (["coding", "--dist", "1", "--block", "1" + "0" * 400, "--epsilon", "0.1"], "exceeds 2^53"),
     (["questions", "--dist", "1", "--block", "1" + "0" * 400], "exceeds 2^53"),
 ], ids=["mub-verify-mersenne-61", "coding-one-letter", "questions-one-letter"])
@@ -190,7 +190,7 @@ def test_closed_stdout_exits_quietly():
     (["entropy", "--dist", ","], "probabilities is empty"),
     (["entangle", "--obs", "xx", "--answers=1,1"],
      "--obs expects two two-letter Pauli products, e.g. 'xx,yy'"),
-    (["entangle", "--obs", "xx,yy", "--answers", "1"], "--answers expects two eigenvalues"),
+    (["entangle", "--obs", "xx,yy", "--answers", "1"], "answers must be a pair of eigenvalues"),
     (["entropy", "--dist", "0.5,,0.5,"], "could not parse probabilities: '0.5,,0.5,'"),
     (["reconstruct", "--probs", "1,0;;0.5,0.5;0.5,0.5;"],
      "could not parse outcome distributions: '1,0;;0.5,0.5;0.5,0.5;'"),
@@ -440,7 +440,7 @@ class TestChannelCommands:
         path.write_text(json.dumps(ensemble_to_json(random_ensemble(2, 120, seed=5))))
         code, out, err = cli(capsys, "accessible", "--ensemble", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: 120 qubit letters need 16858800 Born weights")
+        assert err.startswith("error: 120 qubit letters need 134870400 work units")
 
     def test_accessible_rejects_qutrit_letters_past_the_cap(self, capsys, tmp_path, monkeypatch):
         def unreachable(ensemble, seed):
@@ -451,7 +451,7 @@ class TestChannelCommands:
         path.write_text(json.dumps(ensemble_to_json(random_ensemble(3, 535, seed=5))))
         code, out, err = cli(capsys, "accessible", "--ensemble", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: 535 letters in dimension 3 need 134340360 hill-climb operations")
+        assert err.startswith("error: 535 letters in dimension 3 need 134340360 work units")
 
     def test_ensemble_with_non_integer_dim_rejected(self, capsys, tmp_path):
         doc = ensemble_to_json(random_ensemble(2, 2, seed=5))

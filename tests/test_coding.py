@@ -16,8 +16,8 @@ from quantinfo import (
     shannon_entropy,
     typical_set,
 )
-from quantinfo import coding
-from quantinfo.coding import ENUMERATION_CAP
+from quantinfo import probability
+from test_channel import run_bounded
 
 
 def brute_force_typical(probs, block_length, epsilon):
@@ -90,17 +90,19 @@ class TestTypicalSet:
         report = typical_set([0.5, 0.5], 25, 0.1)
         assert report.count == 2 ** 25
         assert report.total_probability == 1.0
-        # 6 letters: k = 17 has 26,334 classes, k = 18 has 33,649
-        assert math.comb(22, 5) <= ENUMERATION_CAP < math.comb(23, 5)
+        # 6 letters at 4,096 work units a class: k = 17 has 26,334 classes, k = 18 has 33,649
+        assert 4096 * math.comb(22, 5) <= probability._WORK_CAP < 4096 * math.comb(23, 5)
         typical_set([1 / 6] * 6, 17, 0.1)
-        with pytest.raises(ValidationError, match="33649 type classes"):
+        with pytest.raises(ValidationError) as caught:
             typical_set([1 / 6] * 6, 18, 0.1)
+        assert str(caught.value) == ("33649 type classes of 6^18 sequences need 137826304 work units, "
+                                     "more than the work cap of 134217728")
 
     def test_cap_is_exact(self, monkeypatch):
         # 6 classes at N = 5 for two letters
-        monkeypatch.setattr(coding, "ENUMERATION_CAP", 6)
+        monkeypatch.setattr(probability, "_WORK_CAP", 6 * 4096)
         assert typical_set([0.8, 0.2], 5, 0.5).count > 0
-        monkeypatch.setattr(coding, "ENUMERATION_CAP", 5)
+        monkeypatch.setattr(probability, "_WORK_CAP", 6 * 4096 - 1)
         with pytest.raises(ValidationError, match="6 type classes"):
             typical_set([0.8, 0.2], 5, 0.5)
 
@@ -282,9 +284,14 @@ class TestBlockQuestionRate:
         # 10 letters at k = 9 are 10^9 sequences in 48,620 classes
         with pytest.raises(ValidationError, match="48620 type classes"):
             block_question_rate([0.1] * 10, 9)
+        # the largest accepted block, about 0.4 s on a 2-vCPU VM; the child's peak grew about 15 MB
         p = random_distribution(6, seed=1700)
+        seconds, rate = run_bounded(
+            "start = time.perf_counter()\nrate = block_question_rate(random_distribution(6, seed=1700), 17)\n"
+            "out = [time.perf_counter() - start, rate]", headroom_mb=32)
         h = shannon_entropy(p)
-        assert h <= block_question_rate(p, 17) < h + 1.0 / 17
+        assert seconds < 10.0
+        assert h <= rate < h + 1.0 / 17
         with pytest.raises(ValidationError, match="33649 type classes"):
             block_question_rate(p, 18)
 

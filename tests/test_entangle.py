@@ -107,7 +107,8 @@ class TestJointEigenstate:
         with pytest.raises(ValidationError):
             joint_eigenstate(pauli_product("x", "x"), np.eye(2), (1, 1))
 
-    @pytest.mark.parametrize("answers", [1, (1,), ("a", 1)], ids=["scalar", "one", "not-a-number"])
+    @pytest.mark.parametrize("answers", [1, (1,), ("a", 1), "11", ["1", "-1"], [True, True], (np.inf, 1)],
+                             ids=["scalar", "one", "not-a-number", "string", "numeric-strings", "bools", "infinite"])
     def test_answers_must_be_a_pair(self, answers):
         with pytest.raises(ValidationError, match="^answers must be a pair of eigenvalues$"):
             joint_eigenstate(pauli_product("x", "x"), pauli_product("y", "y"), answers)

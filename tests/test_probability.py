@@ -416,7 +416,7 @@ SCALAR_PARAMETERS = {
     "theta": (lambda x: quantinfo.wrong_basis_demo(x), "tilt angle must be finite, got "),
     "epsilon": (lambda x: quantinfo.typical_set([0.5, 0.5], 4, x), "epsilon must be positive"),
 }
-NOT_SCALARS = {"string": "abc", "none": None, "array": np.array([0.1, 0.2]), "int-past-float-range": 10 ** 400,
+NOT_SCALARS = {"string": "abc", "numeric-string": "0.5", "numeric-bytes": b"0.5", "none": None, "array": np.array([0.1, 0.2]), "int-past-float-range": 10 ** 400,
                "bool": True, "numpy-bool": np.True_, "bool-array": np.array(True)}
 
 

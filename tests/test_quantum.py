@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from quantinfo import (
     joint_eigenstate,
     luders_update,
     majorizes,
+    pauli_product,
     proposition_information,
     pure_state,
     purity,
@@ -36,6 +38,7 @@ from quantinfo import (
     total_information,
     von_neumann_entropy,
 )
+from quantinfo import entangle, quantum
 from quantinfo.probability import TOL, _checked, _renormalize
 from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _born, _check_matrices, _fix_column_phases
 from test_probability import assert_same_outcome, outcome
@@ -275,9 +278,12 @@ def reference_check_matrices(arr, ndim, kind, tol):
         off = drift > arr.shape[-1] * np.finfo(float).eps  # a smaller drift is rounding: not divided
         if off.any():
             arr = arr / np.where(off, traces, 1.0)[..., None, None]
-        smallest = np.linalg.eigvalsh(arr)[..., 0]
-        if np.count_nonzero(smallest < -TOL):
-            raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {np.min(smallest):.3e}")
+    if kind in ("density", "effect"):
+        smallest = np.ravel(np.linalg.eigvalsh(arr)[..., 0])
+        negative = np.flatnonzero(smallest < -TOL)
+        if negative.size:
+            member = "matrix" if arr.ndim == 2 else f"matrix {negative[0]}"  # a stack names its first failure
+            raise ValidationError(f"{member} is not positive semidefinite: min eigenvalue {smallest[negative[0]]:.3e}")
     return arr
 
 
@@ -347,7 +353,7 @@ class TestMatrixCheckMatchesReference:
     accepts some and may overflow on them with a warning.
     """
 
-    @pytest.mark.parametrize("kind", ["hermitian", "density", "basis"])
+    @pytest.mark.parametrize("kind", ["hermitian", "density", "basis", "effect"])
     @pytest.mark.parametrize("case", list(MATRIX_EDGES))
     def test_edge_cases(self, case, kind):
         values, ndim = MATRIX_EDGES[case]
@@ -370,7 +376,7 @@ class TestMatrixCheckMatchesReference:
         n = data.draw(st.integers(1, 4))
         count = data.draw(st.integers(1, 3))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        kind = data.draw(st.sampled_from(["hermitian", "density", "basis"]))
+        kind = data.draw(st.sampled_from(["hermitian", "density", "basis", "effect"]))
         make = random_basis if kind == "basis" else random_density
         arr = np.stack([make(n, seed=seed + j) for j in range(count)])
         specials = st.sampled_from([NAN, INF, -INF, complex(INF, NAN), complex(0.0, INF),
@@ -658,6 +664,27 @@ class TestWholeArrayForms:
         fixed = _fix_column_phases(stack)
         for index in np.ndindex(2, 3):
             assert_same_bits(fixed[index], reference_fix_column_phases(stack[index]))
+
+    def test_phase_rule_matches_the_column_loop_inside_its_callers(self, monkeypatch):
+        # spin_basis on the axes and 200 seeded directions, and joint_eigenstate on four
+        # commuting pairs: every matrix they hand the phase rule gets the column loop's bytes
+        seen = []
+
+        def checked(matrix):
+            fixed = _fix_column_phases(matrix)
+            assert_same_bits(fixed, reference_fix_column_phases(matrix))
+            seen.append(matrix.shape)
+            return fixed
+
+        monkeypatch.setattr(quantum, "_fix_column_phases", checked)
+        monkeypatch.setattr(entangle, "_fix_column_phases", checked)
+        rng = np.random.default_rng(28)
+        for direction in [*np.eye(3), *-np.eye(3), *rng.standard_normal((200, 3))]:
+            spin_basis(direction)
+        for (a, b), answers in itertools.product([("xx", "yy"), ("xx", "zz"), ("yy", "zz"), ("zx", "xz")],
+                                                 itertools.product((1, -1), repeat=2)):
+            joint_eigenstate(pauli_product(*a), pauli_product(*b), answers)
+        assert seen == [(2, 2)] * 206 + [(4, 1)] * 16
 
     def test_projectors_match_outer_products(self):
         for seed in range(2000):
