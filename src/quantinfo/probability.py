@@ -21,17 +21,18 @@ _WORK_CAP = 2**27  # work units one call may spend; each capped site states its 
 
 
 def as_distribution(p) -> np.ndarray:
-    """Validate a probability vector and return it exactly normalized.
+    """Validate a probability vector and return it normalized.
 
-    Entries in [-ENTRY_TOL, 0) are rounding noise and clamp to zero; a sum
-    within TOL of 1 is renormalized. Anything further off is rejected
-    rather than silently repaired.
+    Entries in [-ENTRY_TOL, 0) are rounding noise and clamp to zero. A sum
+    within TOL of 1 is divided out unless it is off by n float64 epsilons or
+    less, the rounding a division leaves, so a checked vector passes unchanged.
+    Anything further off is rejected rather than silently repaired.
     """
     return _clamp(p, 1, "probability vector", "total")
 
 
 def as_joint_distribution(table) -> np.ndarray:
-    """Validate a 2-d joint probability table; same clamping rules as vectors."""
+    """Validate a 2-d joint probability table by as_distribution's rules, n being its entry count."""
     return _clamp(table, 2, "joint probability table", "total")
 
 
@@ -170,9 +171,9 @@ def _clamp(values, ndim: int, what: str, sums: str | None) -> np.ndarray:
 
     Rejects a ragged or wrong-shaped array, non-finite entries and entries
     below -ENTRY_TOL, and zeroes the rest of the negatives. sums is the sum
-    rule: "total" renormalizes a whole-array total within TOL of 1,
-    "rows" each last-axis row's, and a total further off is rejected; None
-    checks no sum.
+    rule: "total" accepts a whole-array total within TOL of 1, "rows" each
+    last-axis row's, and a total further off is rejected; None checks no sum.
+    An accepted total is divided out only past rounding (_divide_out).
 
     A valid array is accepted by whole-array reductions alone: a NaN or -inf
     fails the minimum test, a +inf the maximum or sum test. Only an array
@@ -190,16 +191,27 @@ def _clamp(values, ndim: int, what: str, sums: str | None) -> np.ndarray:
             if np.maximum.reduce(arr, axis=None) < np.inf:
                 return arr
         elif sums == "total":
-            total = np.add.reduce(arr, axis=None)
+            total = float(np.add.reduce(arr, axis=None))
             if abs(total - 1.0) <= TOL:
-                arr /= total
-                return arr
+                return _divide_out(arr, total, arr.size)
         else:
             totals = np.add.reduce(arr, axis=-1, keepdims=True)
             if np.maximum.reduce(abs(totals - 1.0), axis=None) <= TOL:
-                arr /= totals
-                return arr
+                return _divide_out(arr, totals, arr.shape[-1])
     _clamp_entries(arr, what, sums)
+
+
+def _divide_out(arr: np.ndarray, totals, count: int) -> np.ndarray:
+    """arr divided in place by each total (a float, or an array broadcasting against arr) off 1 by more
+    than count float64 epsilons, count the entries a total sums. A closer total is the rounding an
+    earlier division leaves and is kept, so a checked value, checked again, comes back bit for bit."""
+    off = abs(totals - 1.0) > count * 2.0**-52
+    if isinstance(totals, float):
+        if off:
+            arr /= totals
+    elif np.count_nonzero(off):
+        arr /= np.where(off, totals, 1.0)
+    return arr
 
 
 def _clamp_entries(arr: np.ndarray, what: str, sums: str | None) -> NoReturn:

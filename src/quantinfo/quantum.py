@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .probability import TOL, _as_array, _check_size, _entropy, _is_int, _memo, _renormalize, _seed, _spell
+from .probability import TOL, _as_array, _check_size, _divide_out, _entropy, _is_int, _memo, _renormalize, _seed, _spell
 
 _SQRT_TINY = 2.0**-511  # smallest norm whose square is a normal float
 _NORM2_CAP = float(np.finfo(float).max) / 4.0  # a matrix stack's squared norm stays below this
@@ -33,9 +33,9 @@ def as_hermitian(matrix) -> np.ndarray:
 def as_density(matrix) -> np.ndarray:
     """Validate a density operator: Hermitian, unit trace, positive semidefinite.
 
-    A trace within TOL of 1 is divided out unless it is off by n float64 epsilons or less,
-    the rounding a division leaves, so a checked state passes unchanged. Eigenvalues down
-    to -TOL pass as rounding noise; the size bound is as_hermitian's."""
+    A trace within TOL of 1 is divided out by as_distribution's rule, n being the dimension:
+    only past rounding, so a checked state passes unchanged. Eigenvalues down to -TOL pass
+    as rounding noise; the size bound is as_hermitian's."""
     return _as_matrices(matrix, 2, "density")
 
 
@@ -218,7 +218,7 @@ def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:
 
     kind "basis" checks orthonormal columns; "hermitian" returns (M + M*)/2;
     "effect" also rejects eigenvalues below -TOL, and "density" first divides out a trace
-    within TOL of 1 (past rounding). Each distinct input is checked once.
+    within TOL of 1 past rounding (probability._divide_out). Each distinct input is checked once.
     """
     return _memo(_check_matrices, _as_array(values, complex, "matrices"), ndim, kind)
 
@@ -247,9 +247,7 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
         drift = abs(traces - 1.0)
         if np.count_nonzero(drift > TOL):
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
-        off = drift > arr.shape[-1] * 2.0**-52  # n ulps or less: an earlier division's rounding
-        if np.count_nonzero(off):
-            arr /= np.where(off, traces, 1.0)[..., None, None]
+        _divide_out(arr, traces if ndim == 2 else traces[..., None, None], arr.shape[-1])
     if kind != "hermitian":
         smallest = np.linalg.eigvalsh(arr)[..., 0]
         negative = smallest < -TOL

@@ -21,7 +21,7 @@ import quantinfo
 import quantinfo.cli as cli_module
 from quantinfo import (
     ValidationError, as_distribution, bloch_state, cq_ensemble, ensemble_to_json, pure_state,
-    random_ensemble, state_to_json)
+    random_distribution, random_ensemble, state_to_json)
 from quantinfo.cli import build_parser, run
 from quantinfo.entangle import InfoSplit
 from quantinfo.mub import DeviationReport
@@ -265,6 +265,43 @@ def test_property_cli_vectors_follow_the_library_rule(values):
     else:
         assert (code, err) == (0, "")
         assert np.array(json.loads(out)["dist"]).tobytes() == expected.tobytes()
+
+
+def written(n, seed):
+    """A seeded distribution as a command line writes it, each entry by repr(float(x))."""
+    return ",".join(repr(float(x)) for x in random_distribution(n, seed))
+
+
+def echo_case(command, s):
+    """(argv, the JSON keys that echo a probability vector) for the s-th seeded run of command."""
+    n, seed = 2 + s % 6, 77000 + s
+    if command == "majorize":
+        return ["majorize", "--p", written(n, seed), "--q", written(n, seed + 1)], ("p", "q")
+    if command == "wrongbasis":
+        return ["wrongbasis", "--theta", "1", "--priors", written(2, seed)], ("priors",)
+    if command == "reconstruct":
+        n = (2, 3, 5, 7)[s % 4]
+        return ["reconstruct", "--probs", ";".join(written(n, 10 * seed + j) for j in range(n + 1))], ("probs",)
+    extra = ["--block", "2", "--epsilon", "0.1"] if command == "coding" else []
+    return [command, "--dist", written(n, seed), *extra], ("dist",)
+
+
+@pytest.mark.parametrize("command", [
+    "entropy", "bzinfo", "grouping", "questions", "majorize", "wrongbasis", "coding", "reconstruct"])
+def test_echo_is_the_vector_every_number_was_computed_from(command):
+    # a command checks each vector once and the library checks it again: the second check keeps every
+    # bit, so the --json echo is the vector behind every printed number
+    moved = []
+    for s in range(200):
+        argv, keys = echo_case(command, s)
+        code, out, err = run_quietly(*argv, "--json")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        for key in keys:
+            for echo in map(np.array, payload[key] if key == "probs" else [payload[key]]):
+                if as_distribution(echo).tobytes() != echo.tobytes():
+                    moved.append((s, key))
+    assert moved == []
 
 
 class TestScalarCommands:

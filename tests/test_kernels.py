@@ -19,8 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 import quantinfo
 from quantinfo import (
+    apply_doubly_stochastic,
     as_basis,
     as_density,
+    as_distribution,
+    as_doubly_stochastic,
+    as_hermitian,
+    as_joint_distribution,
     as_povm,
     born_probabilities,
     cq_ensemble,
@@ -28,9 +33,15 @@ from quantinfo import (
     hs_inner_product,
     joint_distribution,
     measured_information,
+    random_basis,
+    random_density,
+    random_distribution,
+    random_doubly_stochastic,
+    random_ensemble,
+    random_povm,
     spectrum,
 )
-from quantinfo.probability import TOL
+from quantinfo.probability import TOL, _clamp
 
 # the validators that may call probability._clamp, as (module, function)
 CLAMP_CALLERS = {
@@ -65,6 +76,21 @@ def test_only_validators_call_clamp():
         if isinstance(call, ast.Call)
         and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_clamp"}
     assert callers == CLAMP_CALLERS
+
+
+def test_only_the_checks_divide_out_a_total():
+    # a kernel divides every time: its input is raw arithmetic, not a checked value, so its totals are
+    # no earlier division's rounding; and the rounding threshold is spelled in the helper alone
+    def divides_out(call):
+        return isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_divide_out"
+
+    def epsilons(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.UnaryOp) and getattr(node.right.operand, "value", None) == 52)
+
+    assert call_sites(divides_out) == (
+        3, [("probability", "_clamp"), ("probability", "_clamp"), ("quantum", "_check_matrices")])
+    assert call_sites(epsilons) == (1, [("probability", "_divide_out")])
 
 
 def contracts_trace(call) -> bool:
@@ -300,3 +326,51 @@ def test_property_kernels_never_reject_validated_inputs(data, n, letters, reach,
     assert abs(table.sum() - 1.0) < 1e-15
     assert np.isfinite(measured_information(ensemble, effects))
     assert np.isfinite(holevo_chi(ensemble))
+
+
+# each check, and a seeded input of size n scaled by d, so its sums, traces or Gram matrix are off 1
+# by d - 1, at most TOL (reconstruct's rows are scaled by factors spread from 2 - d to d)
+FIXED_POINT_CHECKS = {
+    "as_distribution": (as_distribution, lambda n, s, d: random_distribution(n, s) * d),
+    "as_joint_distribution": (
+        as_joint_distribution, lambda n, s, d: random_distribution(n * (1 + s % 3), s).reshape(n, -1) * d),
+    "as_doubly_stochastic": (as_doubly_stochastic, lambda n, s, d: random_doubly_stochastic(n, s) * d),
+    "as_density": (as_density, lambda n, s, d: random_density(n, s, rank=1 + s % n) * d),
+    "as_hermitian": (as_hermitian, lambda n, s, d: random_density(n, s) + (d - 1.0) * np.triu(np.ones((n, n)), 1)),
+    "as_basis": (as_basis, lambda n, s, d: random_basis(n, s) * np.sqrt(d)),
+    "as_povm": (lambda e: np.array(as_povm(e)), lambda n, s, d: np.array(random_povm(n, 1 + s % 3, s)) * d),
+    "reconstruct-rows": (
+        lambda rows: _clamp(rows, 2, "probability vector", "rows"),
+        lambda n, s, d: (np.array([random_distribution(n, 10000 * s + j) for j in range(n + 1)])
+                         * np.linspace(2.0 - d, d, n + 1)[:, None])),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(FIXED_POINT_CHECKS)), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+       st.floats(-0.999, 0.999))
+def test_property_a_checked_value_checks_again_unchanged(name, n, seed, reach):
+    # a total is divided out only past an earlier division's rounding, so check(check(x)) is check(x)
+    check, draw = FIXED_POINT_CHECKS[name]
+    once = check(draw(n, seed, 1.0 + reach * TOL))
+    assert check(once).tobytes() == once.tobytes()
+
+
+def test_kernel_outputs_pass_a_later_check_unchanged():
+    # a kernel divides every time, so what it returns is a checked value: a later check keeps every bit
+    moved = []
+    for seed in range(500):
+        letters = 2 + seed % 3
+        table = joint_distribution(random_ensemble(2, letters, seed), random_povm(2, letters, seed))
+        if as_joint_distribution(table).tobytes() != table.tobytes():
+            moved.append(("joint", 2, seed))
+        for n in range(1, 9):
+            rho = random_density(n, seed, rank=1 + seed % n)
+            outputs = {
+                "spectrum": spectrum(rho),
+                "born": born_probabilities(rho, random_basis(n, seed)),
+                "schur": apply_doubly_stochastic(random_doubly_stochastic(n, seed), random_distribution(n, seed)),
+            }
+            moved += [(name, n, seed) for name, out in outputs.items()
+                      if as_distribution(out).tobytes() != out.tobytes()]
+    assert moved == []

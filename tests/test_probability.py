@@ -176,7 +176,10 @@ def test_clamp_edges(site):
 
 
 def reference_clamp(values, ndim, what, sum_tol=None, axis=None):
-    """_clamp as it was before its accept-first test: each check in turn."""
+    """_clamp as it was before its accept-first test: each check in turn.
+
+    A total within count float64 epsilons of 1, count the entries it sums, is an earlier
+    division's rounding and is not divided out."""
     arr = _as_array(values, float, what).copy()
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"expected a nonempty {ndim}-d {what}")
@@ -192,7 +195,8 @@ def reference_clamp(values, ndim, what, sum_tol=None, axis=None):
     drift = abs(totals - 1.0)
     if np.count_nonzero(drift >= sum_tol):
         raise ValidationError(f"{what} sums to {float(totals.flat[drift.argmax()])!r}, not 1")
-    return arr / totals
+    count = arr.size if axis is None else arr.shape[axis]
+    return arr / np.where(drift <= count * np.finfo(float).eps, 1.0, totals)
 
 
 # reference_clamp's arguments for each of _clamp's sum rules, at the windows _clamp reads
@@ -237,6 +241,8 @@ V = "probability vector"
 # drift below TOL and the smallest at or above it.
 INSIDE_TOL = np.floor(TOL / 2.0 ** -52) * 2.0 ** -52
 OUTSIDE_TOL = INSIDE_TOL + 2.0 ** -52
+# A total n float64 epsilons off 1, n the entries it sums, is rounding and kept; one epsilon more is divided.
+EPS = 2.0 ** -52
 CLAMP_EDGES = {
     "nan": ([0.5, np.nan, 0.5], 1, V, "total"),
     "nan-and-negative": ([-0.5, np.nan, 1.5], 1, V, "total"),
@@ -260,6 +266,13 @@ CLAMP_EDGES = {
                               "joint probability table", "total"),
     "rows-inside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + INSIDE_TOL]], 2, V, "rows"),
     "rows-outside-sum-tol": ([[0.5, 0.5], [0.5, 0.5 + OUTSIDE_TOL]], 2, V, "rows"),
+    "total-at-rounding": ([0.5, 0.5 + 2 * EPS], 1, V, "total"),
+    "total-past-rounding": ([0.5, 0.5 + 3 * EPS], 1, V, "total"),
+    "total-below-at-rounding": ([0.5, 0.5 - 2 * EPS], 1, V, "total"),
+    "table-at-rounding": ([[0.25, 0.25], [0.25, 0.25 + 4 * EPS]], 2, "joint probability table", "total"),
+    "table-past-rounding": ([[0.25, 0.25], [0.25, 0.25 + 5 * EPS]], 2, "joint probability table", "total"),
+    "rows-at-rounding": ([[0.5, 0.5], [0.5, 0.5 + 2 * EPS]], 2, V, "rows"),
+    "rows-past-rounding": ([[0.5, 0.5], [0.5, 0.5 + 3 * EPS]], 2, V, "rows"),
     "rows-sum-to-one-together": ([[0.25, 0.25], [0.25, 0.25]], 2, V, "rows"),
     "rows-one-drifts": ([[0.5, 0.5], [0.7, 0.7], [0.2, 0.8]], 2, V, "rows"),
     "rows-one-nan": ([[0.5, 0.5], [np.nan, 1.0]], 2, V, "rows"),
@@ -285,6 +298,12 @@ class TestClampMatchesReference:
             _clamp(*CLAMP_EDGES[f"{rows}-inside-sum-tol"])
             with pytest.raises(ValidationError, match="sums to"):
                 _clamp(*CLAMP_EDGES[f"{rows}-outside-sum-tol"])
+
+    def test_rounding_is_kept_and_one_epsilon_more_divided(self):
+        for rows in ("total", "table", "rows"):
+            at, past = CLAMP_EDGES[f"{rows}-at-rounding"], CLAMP_EDGES[f"{rows}-past-rounding"]
+            assert _clamp(*at).tobytes() == np.array(at[0]).tobytes()
+            assert _clamp(*past).tobytes() != np.array(past[0]).tobytes()
 
     def test_seeded_inputs(self):
         rng = np.random.default_rng(1234)

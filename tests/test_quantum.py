@@ -317,6 +317,9 @@ MATRIX_EDGES = {
     "negative-zero": ([[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]], 2),
     "trace-off": ([[0.6, 0.0], [0.0, 0.6]], 2),
     "trace-noise": ([[0.5 + 4e-10, 0.0], [0.0, 0.5]], 2),
+    "trace-at-rounding": ([[0.5 + 2.0**-52, 0.0], [0.0, 0.5 + 2.0**-52]], 2),  # off 1 by n epsilons: kept
+    "trace-past-rounding": ([[0.5 + 2.0**-52, 0.0], [0.0, 0.5 + 2.0**-51]], 2),
+    "stack-one-trace-past-rounding": ([np.diag([0.5 + 2.0**-52] * 2), np.diag([0.5 + 2.0**-52, 0.5 + 2.0**-51])], 3),
     "negative-eigenvalue": ([[1.5, 0.0], [0.0, -0.5]], 2),
     "eigenvalue-noise": ([[1.0 + 5e-10, 0.0], [0.0, -5e-10]], 2),
     "orthonormal": ([[1.0, 0.0], [0.0, 1.0]], 2),
