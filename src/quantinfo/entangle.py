@@ -93,7 +93,7 @@ def proposition_information(rho, question) -> float:
         raise ValidationError("question and state must have equal dimensions")
     if np.max(np.abs(q @ q - q)) > TOL:
         raise ValidationError("question must be a projector")
-    return float(_question_information(state, q))
+    return float(_quadratic(_renormalize(_trace_product(state, np.array((q, np.eye(len(q)) - q))))))
 
 
 def info_split(rho) -> InfoSplit:
@@ -106,7 +106,7 @@ def info_split(rho) -> InfoSplit:
     if state.shape != (4, 4):
         raise ValidationError("entangle expects a two-qubit (4x4) state")
     labels, questions = _question_stack()
-    terms = tuple(zip(labels, map(float, _question_information(state, questions))))
+    terms = tuple(zip(labels, map(float, _quadratic(_renormalize(_trace_product(state, questions))))))
     individual, correlation = terms[:6], terms[6:]  # six single-spin questions, then three joint ones
     return InfoSplit(
         individual=float(sum(v for _, v in individual)),
@@ -118,18 +118,14 @@ def info_split(rho) -> InfoSplit:
 
 @functools.cache
 def _question_stack() -> tuple[tuple[str, ...], np.ndarray]:
-    """The nine questions' labels and a read-only (9, 4, 4) stack of projectors (I + P) / 2, P a Pauli product."""
+    """The nine questions' labels and a read-only (9, 2, 4, 4) stack of effects (I +- P) / 2, P a Pauli product."""
     labels, pairs = zip(
         ("spin 1 up along x", "x1"), ("spin 2 up along x", "1x"),
         ("spin 1 up along y", "y1"), ("spin 2 up along y", "1y"),
         ("spin 1 up along z", "z1"), ("spin 2 up along z", "1z"),
         ("spins agree along x", "xx"), ("spins agree along y", "yy"), ("spins agree along z", "zz"))
-    stack = np.stack([(np.eye(4, dtype=complex) + pauli_product(*pair)) / 2.0 for pair in pairs])
+    stack = np.stack([(np.eye(4, dtype=complex) + sign * pauli_product(*pair)) / 2.0
+                      for pair in pairs for sign in (1.0, -1.0)]).reshape(9, 2, 4, 4)
     stack.flags.writeable = False
     return labels, stack
 
-
-def _question_information(state: np.ndarray, questions: np.ndarray):
-    """Quadratic measure 2 (p_yes - 1/2)^2 of a checked state and a projector or a stack of them."""
-    yes = _trace_product(state, questions)
-    return _quadratic(_renormalize(np.stack([yes, 1.0 - yes], axis=-1)))

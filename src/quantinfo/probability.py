@@ -192,25 +192,26 @@ def _clamp(values, ndim: int, what: str, sums: str | None) -> np.ndarray:
                 return arr
         elif sums == "total":
             total = float(np.add.reduce(arr, axis=None))
-            if abs(total - 1.0) <= TOL:
-                return _divide_out(arr, total, arr.size)
+            drift = abs(total - 1.0)
+            if drift <= TOL:
+                return _divide_out(arr, total, drift, arr.size)
         else:
             totals = np.add.reduce(arr, axis=-1, keepdims=True)
-            if np.maximum.reduce(abs(totals - 1.0), axis=None) <= TOL:
-                return _divide_out(arr, totals, arr.shape[-1])
+            drift = float(np.maximum.reduce(abs(totals - 1.0), axis=None))
+            if drift <= TOL:
+                return _divide_out(arr, totals, drift, arr.shape[-1])
     _clamp_entries(arr, what, sums)
 
 
-def _divide_out(arr: np.ndarray, totals, count: int) -> np.ndarray:
+def _divide_out(arr: np.ndarray, totals, drift: float, count: int) -> np.ndarray:
     """arr divided in place by each total (a float, or an array broadcasting against arr) off 1 by more
     than count float64 epsilons, count the entries a total sums. A closer total is the rounding an
-    earlier division leaves and is kept, so a checked value, checked again, comes back bit for bit."""
-    off = abs(totals - 1.0) > count * 2.0**-52
-    if isinstance(totals, float):
-        if off:
-            arr /= totals
-    elif np.count_nonzero(off):
-        arr /= np.where(off, totals, 1.0)
+    earlier division leaves and is kept, so a checked value, checked again, comes back bit for bit.
+    drift is the largest |total - 1|, which every caller forms for its TOL test: when it is rounding,
+    no total is tested again."""
+    limit = count * 2.0**-52
+    if drift > limit:
+        arr /= totals if isinstance(totals, float) else np.where(abs(totals - 1.0) > limit, totals, 1.0)
     return arr
 
 

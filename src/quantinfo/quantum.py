@@ -245,9 +245,10 @@ def _check_matrices(arr: np.ndarray, ndim: int, kind: str) -> np.ndarray:
     if kind == "density":
         traces = arr.trace(axis1=-2, axis2=-1).real
         drift = abs(traces - 1.0)
-        if np.count_nonzero(drift > TOL):
+        worst = float(np.maximum.reduce(drift, axis=None))
+        if worst > TOL:
             raise ValidationError(f"trace is {float(np.ravel(traces)[np.argmax(drift)])!r}, not 1")
-        _divide_out(arr, traces if ndim == 2 else traces[..., None, None], arr.shape[-1])
+        _divide_out(arr, traces if ndim == 2 else traces[..., None, None], worst, arr.shape[-1])
     if kind != "hermitian":
         smallest = np.linalg.eigvalsh(arr)[..., 0]
         negative = smallest < -TOL

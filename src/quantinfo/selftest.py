@@ -128,8 +128,10 @@ def _holevo_example():
         [0.5, 0.5], [quantum.pure_state([1, 0]), quantum.pure_state([1, 1])], ("zero", "plus"))
     chi = channel.holevo_chi(pair)
     found = channel.accessible_information(pair).value
-    passed = abs(chi - 0.600878) < 1e-4 and abs(found - 0.39912) < 1e-3 and chi - found > 0.19
-    return passed, {"chi": chi, "accessible": found}
+    # chi is h((1 + 1/sqrt2)/2), the entropy of the average state; the accessible value is 1 - chi (Levitin 1995)
+    exact = -sum(p * math.log2(p) for p in ((1.0 + math.sqrt(0.5)) / 2.0, (1.0 - math.sqrt(0.5)) / 2.0))
+    passed = abs(chi - exact) < 1e-9 and abs(found - (1.0 - exact)) < 1e-9 and chi - found > 0.19
+    return passed, {"chi": chi, "accessible": found, "exact": exact, "exact_accessible": 1.0 - exact}
 
 
 def _majorization(i):
@@ -170,19 +172,58 @@ def _coding_example():
     return count == 45, {"count": count}
 
 
-def _shannon_basis_example():
-    """A unitary shifts the MUB Shannon sum while the quadratic total stays put."""
+@functools.cache
+def _sic(n):
+    """The n^2 effects of a SIC measurement, built on first use: the qubit tetrahedron, or the
+    qutrit Hesse SIC, the Weyl-Heisenberg orbit X^a Z^b of (0, 1, -1)/sqrt2."""
+    if n == 2:
+        corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+        return np.array([quantum.bloch_state(r) / 2.0 for r in corners])
+    fiducial = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    phases = np.exp(2j * np.pi / 3.0 * np.arange(3))  # the diagonal of Z
+    return np.array([quantum.pure_state(np.roll(phases ** b * fiducial, a)) / 3.0
+                     for a in range(3) for b in range(3)])
+
+
+def _mub_table(rho, n):
+    """Born table p_i^j of a state over build_mubs(n), one row per basis."""
+    return np.array([quantum.born_probabilities(rho, u) for u in _bases(n)])
+
+
+def _shannon_sum(table):
+    return sum(map(probability.shannon_entropy, table))
+
+
+def _two_design(n, i):
+    """Sum p^2 over a complete MUB set is 1 + Tr rho^2, and over a SIC (1 + Tr rho^2)/(n(n+1)):
+    both sets are 2-designs. Sum p^3 is rotation-invariant over the qubit MUBs only."""
+    rho = quantum.random_density(n, seed=12_000 * n + i, rank=(i % n) + 1)
+    purity = quantum.purity(rho)
+    table = _mub_table(rho, n)
+    residual = abs((table ** 2).sum() - (1.0 + purity))
+    if n <= 3:
+        sic = channel.joint_distribution(channel.cq_ensemble([1.0], [rho]), _sic(n))
+        residual = max(residual, abs((sic ** 2).sum() - (1.0 + purity) / (n * (n + 1))))
+    drift = 0.0  # checked at n = 2, the only dimension where it holds
+    if n == 2:
+        u = quantum.random_basis(2, seed=13_000 + i)
+        drift = abs((_mub_table(u @ rho @ u.conj().T, 2) ** 3).sum() - (table ** 3).sum())
+    return residual, drift
+
+
+def _two_design_example():
+    """Two pure qutrit states share sum p^2 but not sum p^3, sum p^4 or the Shannon sum;
+    a qubit rotation shifts the Shannon sum while the quadratic total stays put."""
+    basis_state, fiducial = (_mub_table(quantum.pure_state(v), 3) for v in ([1, 0, 0], [0, 1, -1]))
+    q3, q4 = (abs((basis_state ** q).sum() - (fiducial ** q).sum()) for q in (3, 4))
+    shannon = abs(_shannon_sum(basis_state) - _shannon_sum(fiducial))
     rho = quantum.bloch_state([0.0, 0.0, 0.9])
     unitary = quantum.spin_basis([1.0, 1.0, 1.0])  # maps the z direction onto (1,1,1)/sqrt(3)
     rotated = unitary @ rho @ unitary.conj().T
-
-    def shannon_sum(state):
-        return sum(probability.shannon_entropy(
-            quantum.born_probabilities(state, u)) for u in _bases(2))
-
-    shift = abs(shannon_sum(rotated) - shannon_sum(rho))
+    shift = abs(_shannon_sum(_mub_table(rotated, 2)) - _shannon_sum(_mub_table(rho, 2)))
     drift = abs(quantum.total_information(rotated) - quantum.total_information(rho))
-    return shift > 0.01 and drift < 1e-9, {"shift": shift, "drift": drift}
+    passed = q3 > 0.3 and q4 > 0.6 and shannon > 0.7 and shift > 0.01 and drift < 1e-9
+    return passed, {"q3": q3, "q4": q4, "shannon": shannon, "shift": shift, "drift": drift}
 
 
 def _two_qubit_example():
@@ -219,8 +260,8 @@ ALL_CHECKS = (
           "H(1/2,1/3,1/6) = {lhs:.6f} vs split {rhs:.6f} (= 1.459148 +/- 1e-5)",
           _grouping, ("< 1e-12",), count=1000, example=_grouping_example),
     Check("holevo bound", "200 ensemble/POVM pairs dims 2-3, max MI - chi = {}; "
-          "|0>/|+>: chi = {chi:.6f} (0.600878 +/- 1e-4), "
-          "accessible = {accessible:.5f} (0.39912 +/- 1e-3), gap > 0.19",
+          "|0>/|+>: chi = {chi:.10f} (h((1 + 1/sqrt2)/2) = {exact:.10f} +/- 1e-9), "
+          "accessible = {accessible:.10f} (1 - h = {exact_accessible:.10f} +/- 1e-9), gap > 0.19",
           _holevo, ("< 1e-9",), count=200, example=_holevo_example),
     Check("measurement majorization", "200 state/basis pairs dims 2-4, min H(born) - S = {}, "
           "max I(born) - Itot = {}, spectrum majorization everywhere",
@@ -230,9 +271,12 @@ ALL_CHECKS = (
     Check("coding windows", "20 seeded dists, k in (1,2,4) (and 8, 16 for 2 or 3 symbols), "
           "every rate in [H, H + 1/k); typical_set((0.8,0.2), 10, 0.1).count = {count} (= 45)",
           _coding, ("< 1",), count=20, example=_coding_example),
-    Check("shannon basis dependence", "r=(0,0,0.9) rotated to the diagonal: Shannon sum shifts "
-          "{shift:.4f} bits (> 0.01) while the quadratic total drifts {drift:.3e} (< 1e-9)",
-          example=_shannon_basis_example),
+    Check("two-design sums", "50 states per dim in (2,3,5,7), max |sum p^2 - (1 + Tr rho^2)| over the "
+          "MUBs and, scaled by 1/(n(n+1)), the n = 2, 3 SICs = {}, max qubit sum p^3 drift under rotation = {}; "
+          "|0> vs (|1>-|2>)/sqrt2: sum p^3 moves {q3:.4f} (> 0.3), sum p^4 {q4:.4f} (> 0.6), Shannon sum "
+          "{shannon:.4f} bits (> 0.7); r=(0,0,0.9) rotated to the diagonal: Shannon sum shifts {shift:.4f} bits "
+          "(> 0.01) while the quadratic total drifts {drift:.3e} (< 1e-9)",
+          _two_design, ("< 1e-12", "< 1e-12"), dims=(2, 3, 5, 7), count=50, example=_two_design_example),
     Check("two-qubit questions", "xx/yy answers (+1,-1): fidelity with (|00>+|11>)/sqrt2 = "
           "{fidelity:.12f} (> 1 - 1e-9); splits {bell.individual:.2e}/{bell.correlation:.6f} "
           "and {product.individual:.6f}/{product.correlation:.6f} (0/1.5 and 1/0.5)",

@@ -40,7 +40,7 @@ from quantinfo import channel, probability
 from quantinfo.channel import QUBIT_GRID, _direction, _joint, _qubit_born
 from quantinfo.probability import TOL, _mutual_information
 from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z
-from test_quantum import assert_same_bits, reference_random_density
+from test_quantum import ZERO_PLUS_CHI, assert_same_bits, reference_random_density
 
 ZERO = pure_state([1, 0])
 ONE = pure_state([0, 1])
@@ -254,7 +254,7 @@ class TestJointDistribution:
 
 class TestHolevoBound:
     def test_zero_plus_chi(self):
-        assert holevo_chi(ZERO_PLUS) == pytest.approx(0.600878, abs=1e-4)
+        assert holevo_chi(ZERO_PLUS) == pytest.approx(ZERO_PLUS_CHI, abs=1e-9)
 
     def test_orthogonal_pure_states_reach_prior_entropy(self):
         ens = cq_ensemble([0.5, 0.5], [ZERO, ONE])
@@ -298,7 +298,7 @@ class TestAccessibleInformation:
     def test_zero_plus_frozen_values(self):
         result = accessible_information(ZERO_PLUS)
         assert result.method == "grid"
-        assert result.value == pytest.approx(0.39912, abs=1e-3)
+        assert result.value == pytest.approx(1.0 - ZERO_PLUS_CHI, abs=1e-9)
         gap = holevo_chi(ZERO_PLUS) - result.value
         assert gap > 0.19
 

@@ -26,6 +26,7 @@ from quantinfo.cli import build_parser, run
 from quantinfo.entangle import InfoSplit
 from quantinfo.mub import DeviationReport
 from quantinfo.selftest import CheckResult
+from test_quantum import ZERO_PLUS_CHI
 
 # one accepted argument list per subcommand
 VALID_ARGS = {
@@ -450,14 +451,14 @@ class TestChannelCommands:
         code, payload, _ = cli_json(capsys, "holevo", "--ensemble", ensemble_file)
         assert code == 0
         assert payload["letters"] == ["0", "+"]
-        assert payload["holevo_chi"] == pytest.approx(0.600878, abs=1e-4)
+        assert payload["holevo_chi"] == pytest.approx(ZERO_PLUS_CHI, abs=1e-9)
         assert payload["specification_information"] == pytest.approx(1.0, abs=1e-12)
 
     def test_accessible(self, capsys, ensemble_file):
         code, payload, _ = cli_json(capsys, "accessible", "--ensemble", ensemble_file)
         assert code == 0
         assert payload["method"] == "grid"
-        assert payload["accessible_information"] == pytest.approx(0.39912, abs=1e-3)
+        assert payload["accessible_information"] == pytest.approx(1.0 - ZERO_PLUS_CHI, abs=1e-9)
         assert payload["gap"] > 0.19
 
     def test_accessible_repeat_runs_are_identical(self, capsys, ensemble_file):

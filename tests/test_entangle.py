@@ -8,6 +8,7 @@ import pytest
 from quantinfo import (
     InfoSplit,
     ValidationError,
+    as_povm,
     hs_distance,
     info_split,
     joint_eigenstate,
@@ -19,8 +20,8 @@ from quantinfo import (
     total_information,
 )
 from quantinfo.entangle import _question_stack
-from quantinfo.probability import TOL
-from quantinfo.quantum import PAULIS, _as_matrices, _fix_column_phases
+from quantinfo.probability import TOL, _quadratic, _renormalize
+from quantinfo.quantum import PAULIS, _as_matrices, _fix_column_phases, _trace_product, as_density
 from test_quantum import assert_same_bits
 
 BELL_PHI_PLUS = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -156,21 +157,28 @@ class TestQuestionSets:
     def test_individual_set(self):
         labels, stack = _question_stack()
         assert labels[:6] == tuple(f"spin {k} up along {axis}" for axis in "xyz" for k in (1, 2))
-        for q in stack[:6]:
+        for q in stack[:6, 0]:
             assert np.allclose(q @ q, q, atol=1e-12)
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
 
     def test_correlation_set(self):
         labels, stack = _question_stack()
         assert labels[6:] == ("spins agree along x", "spins agree along y", "spins agree along z")
-        assert stack.shape == (9, 4, 4)
-        for q in stack[6:]:
+        assert stack.shape == (9, 2, 4, 4)
+        for q in stack[6:, 0]:
             assert np.allclose(q @ q, q, atol=1e-12)
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
 
+    def test_each_row_is_a_yes_no_measurement(self):
+        # every (Q, I - Q) row is a two-outcome POVM whose "no" effect is the complement of "yes"
+        for yes, no in _question_stack()[1]:
+            assert_same_bits(np.array(as_povm([yes, no])), np.stack([yes, no]))
+            assert_same_bits(no, np.eye(4) - yes)
+
     def test_projectors_match_the_loops_they_replace(self):
         # the individual questions were kron(up, 1) and kron(1, up) with up = (1 + sigma) / 2,
-        # the correlation questions (I + kron(sigma, sigma)) / 2, each in a loop over the axes
+        # the correlation questions (I + kron(sigma, sigma)) / 2, each in a loop over the axes;
+        # the stack's "yes" half keeps their bits
         eye = np.eye(2, dtype=complex)
         labels, projectors = [], []
         for axis in "xyz":
@@ -182,16 +190,16 @@ class TestQuestionSets:
             projectors.append((np.eye(4, dtype=complex) + np.kron(PAULIS[axis], PAULIS[axis])) / 2.0)
         got_labels, stack = _question_stack()
         assert got_labels == tuple(labels)
-        assert_same_bits(stack, np.stack(projectors))
+        assert_same_bits(stack[:, 0], np.stack(projectors))
 
     def test_stack_is_read_only(self):
         _, stack = _question_stack()
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
-            stack[0, 0, 0] = 0.0
+            stack[0, 0, 0, 0] = 0.0
 
     def test_correlation_projector_contains_bell_state(self):
-        for q in _question_stack()[1][6:]:
+        for q in _question_stack()[1][6:, 0]:
             overlap = np.einsum("ij,ji->", BELL_PHI_PLUS, q).real
             assert overlap == pytest.approx(1.0, abs=1e-12) or overlap == pytest.approx(
                 0.0, abs=1e-12)
@@ -201,6 +209,8 @@ class TestInfoSplit:
     def test_bell_state_is_all_correlation(self):
         split = info_split(BELL_PHI_PLUS)
         assert isinstance(split, InfoSplit)
+        # each single-spin answer is a coin flip, and the yes and no weights are read alike
+        assert split.individual_terms == tuple((label, 0.0) for label, _ in split.individual_terms)
         assert split.individual == pytest.approx(0.0, abs=1e-12)
         assert split.correlation == pytest.approx(1.5, abs=1e-12)
         for _, value in split.correlation_terms:
@@ -229,8 +239,9 @@ class TestInfoSplit:
 
     def test_terms_match_one_question_at_a_time(self):
         # the nine questions are asked in one batched einsum; each term keeps the bits
-        # of asking its question alone
-        questions = tuple(zip(*_question_stack()))
+        # of asking its "yes" projector alone
+        labels, stack = _question_stack()
+        questions = tuple(zip(labels, stack[:, 0]))
         for seed in range(50):
             rho = random_density(4, seed=seed, rank=1 + seed % 4)
             split = info_split(rho)
@@ -239,6 +250,26 @@ class TestInfoSplit:
                 (label, proposition_information(rho, q)) for label, q in questions)
             assert split.individual == sum(v for _, v in terms[:6])
 
+
+    def test_terms_stay_within_rounding_of_the_complemented_answer(self):
+        # the parent formula read Tr(rho Q) and completed it with 1 - yes; the effect stack reads
+        # Tr(rho (I - Q)) as its own trace, which moves a term by at most two float64 epsilons (4.4e-16)
+        labels, stack = _question_stack()
+        worst = 0.0
+        for seed in range(500):
+            rho = random_density(4, seed=90000 + seed, rank=1 + seed % 4)
+            split = info_split(rho)
+            got = np.array([v for _, v in split.individual_terms + split.correlation_terms])
+            alone = np.array([proposition_information(rho, q) for q in stack[:, 0]])
+            assert_same_bits(alone, got)
+            worst = max(worst, np.max(np.abs(got - reference_question_information(as_density(rho), stack[:, 0]))))
+        assert worst <= 2 * np.finfo(float).eps
+
+
+def reference_question_information(state, questions):
+    """The quadratic measure of each question as it was computed before the (yes, no) effect stack."""
+    yes = _trace_product(state, questions)
+    return _quadratic(_renormalize(np.stack([yes, 1.0 - yes], axis=-1)))
 
 def reference_joint_eigenstate(obs_a, obs_b, answers):
     """joint_eigenstate as it was written with one eigenspace step per observable, before the loop."""

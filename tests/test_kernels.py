@@ -1,9 +1,9 @@
 """Validators reject, kernels repair.
 
 The public functions validate their inputs once; the kernels behind them
-(_born, _spectrum, _joint, _question_information) reject nothing. _born returns
-raw Born weights; the others, and every caller that forms a distribution from
-_born, zero rounding negatives and rescale rows. These tests pin that split:
+(_born, _spectrum, _joint) reject nothing. _born returns raw Born weights;
+the others, and every caller that forms a distribution from _born or from
+_trace_product, zero rounding negatives and rescale rows. These tests pin that split:
 inputs every validator accepts must come out as clean distributions, and no
 kernel may call the boundary clamp again.
 """
@@ -56,7 +56,6 @@ KERNELS = {
     ("quantum", "_born"),
     ("quantum", "_spectrum"),
     ("channel", "_joint"),
-    ("entangle", "_question_information"),
 }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -44,6 +45,9 @@ from quantinfo.quantum import PAULI_X, PAULI_Y, PAULI_Z, _born, _check_matrices,
 from test_probability import assert_same_outcome, outcome
 
 MIXED_ZERO_PLUS = 0.5 * pure_state([1, 0]) + 0.5 * pure_state([1, 1])
+# h((1 + 1/sqrt2)/2): the entropy of MIXED_ZERO_PLUS, the Holevo chi of |0>/|+> at equal priors,
+# and 1 minus that ensemble's accessible information (Levitin 1995)
+ZERO_PLUS_CHI = -sum(p * math.log2(p) for p in ((1.0 + math.sqrt(0.5)) / 2.0, (1.0 - math.sqrt(0.5)) / 2.0))
 NORM2_CAP = np.finfo(float).max / 4.0
 TOO_LARGE = "matrix entries too large: squared norm must be below 4.494e+307"
 
@@ -478,7 +482,7 @@ class TestSpectrumAndEntropy:
         assert spectrum(MIXED_ZERO_PLUS) == pytest.approx(expected, abs=1e-12)
 
     def test_half_zero_half_plus_entropy(self):
-        assert von_neumann_entropy(MIXED_ZERO_PLUS) == pytest.approx(0.600878, abs=1e-5)
+        assert von_neumann_entropy(MIXED_ZERO_PLUS) == pytest.approx(ZERO_PLUS_CHI, abs=1e-9)
 
     def test_pure_state_entropy_zero(self):
         for n in (2, 3, 5, 7):
