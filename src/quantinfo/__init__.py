@@ -53,6 +53,7 @@ from .quantum import (
 )
 from .mub import (
     DeviationReport,
+    born_table,
     build_mubs,
     hyperplane_orthogonality,
     information_by_basis,

@@ -97,13 +97,19 @@ def information_by_basis(rho, bases) -> np.ndarray:
 
     The entries sum to information_sum(rho, bases).
     """
+    return _quadratic(born_table(rho, bases))
+
+
+def born_table(rho, bases) -> np.ndarray:
+    """Outcome distributions of a state in each basis of a complete MUB set, one row per basis, in one
+    contraction: an (n+1, n) table that reconstruct(born_table(rho, bases), bases) turns back into rho."""
     state = as_density(rho)
     checked = _complete_set(bases)
     n = state.shape[0]
     if checked.shape[1] != n:
         raise ValidationError(
             f"bases are {checked.shape[1]}-dimensional but the state is {n}-dimensional")
-    return _quadratic(_renormalize(_born(state, checked)))
+    return _renormalize(_born(state, checked))
 
 
 def reconstruct(prob_lists, bases) -> np.ndarray:

@@ -89,8 +89,7 @@ def _information_sum(n, i):
 def _round_trip(n, i):
     """Born statistics over a complete MUB set rebuild the exact state."""
     rho = quantum.random_density(n, seed=2000 * n + i, rank=(i % n) + 1)
-    stats = [quantum.born_probabilities(rho, u) for u in _bases(n)]
-    return (quantum.hs_distance(mub.reconstruct(stats, _bases(n)), rho),)
+    return (quantum.hs_distance(mub.reconstruct(mub.born_table(rho, _bases(n)), _bases(n)), rho),)
 
 
 def _mub_construction(n):
@@ -110,9 +109,10 @@ def _grouping_example():
     lhs = probability.shannon_entropy(instance)
     rhs = (probability.shannon_entropy([0.5, 0.5])
            + 0.5 * probability.shannon_entropy([2.0 / 3.0, 1.0 / 3.0]))
-    passed = (abs(lhs - 1.459148) < 1e-5 and abs(rhs - 1.459148) < 1e-5
+    exact = 2.0 / 3.0 + math.log2(3.0) / 2.0  # 1/2 + (1/3) log2 3 + (1/6) log2 6
+    passed = (abs(lhs - exact) < 1e-12 and abs(rhs - exact) < 1e-12
               and abs(probability.grouping_residual(instance)) < 1e-12)
-    return passed, {"lhs": lhs, "rhs": rhs}
+    return passed, {"lhs": lhs, "rhs": rhs, "exact": exact}
 
 
 def _holevo(i):
@@ -169,7 +169,8 @@ def _coding(i):
 
 def _coding_example():
     count = coding.typical_set([0.8, 0.2], 10, 0.1).count
-    return count == 45, {"count": count}
+    # k letters of weight 0.2 cost -log2 0.8 + 0.2k bits a letter, H = -log2 0.8 + 0.4: only k = 2 is typical
+    return count == math.comb(10, 2), {"count": count}
 
 
 @functools.cache
@@ -185,11 +186,6 @@ def _sic(n):
                      for a in range(3) for b in range(3)])
 
 
-def _mub_table(rho, n):
-    """Born table p_i^j of a state over build_mubs(n), one row per basis."""
-    return np.array([quantum.born_probabilities(rho, u) for u in _bases(n)])
-
-
 def _shannon_sum(table):
     return sum(map(probability.shannon_entropy, table))
 
@@ -199,7 +195,7 @@ def _two_design(n, i):
     both sets are 2-designs. Sum p^3 is rotation-invariant over the qubit MUBs only."""
     rho = quantum.random_density(n, seed=12_000 * n + i, rank=(i % n) + 1)
     purity = quantum.purity(rho)
-    table = _mub_table(rho, n)
+    table = mub.born_table(rho, _bases(n))
     residual = abs((table ** 2).sum() - (1.0 + purity))
     if n <= 3:
         sic = channel.joint_distribution(channel.cq_ensemble([1.0], [rho]), _sic(n))
@@ -207,23 +203,54 @@ def _two_design(n, i):
     drift = 0.0  # checked at n = 2, the only dimension where it holds
     if n == 2:
         u = quantum.random_basis(2, seed=13_000 + i)
-        drift = abs((_mub_table(u @ rho @ u.conj().T, 2) ** 3).sum() - (table ** 3).sum())
+        drift = abs((mub.born_table(u @ rho @ u.conj().T, _bases(2)) ** 3).sum() - (table ** 3).sum())
     return residual, drift
 
 
 def _two_design_example():
     """Two pure qutrit states share sum p^2 but not sum p^3, sum p^4 or the Shannon sum;
     a qubit rotation shifts the Shannon sum while the quadratic total stays put."""
-    basis_state, fiducial = (_mub_table(quantum.pure_state(v), 3) for v in ([1, 0, 0], [0, 1, -1]))
+    basis_state, fiducial = (mub.born_table(quantum.pure_state(v), _bases(3)) for v in ([1, 0, 0], [0, 1, -1]))
     q3, q4 = (abs((basis_state ** q).sum() - (fiducial ** q).sum()) for q in (3, 4))
     shannon = abs(_shannon_sum(basis_state) - _shannon_sum(fiducial))
     rho = quantum.bloch_state([0.0, 0.0, 0.9])
     unitary = quantum.spin_basis([1.0, 1.0, 1.0])  # maps the z direction onto (1,1,1)/sqrt(3)
     rotated = unitary @ rho @ unitary.conj().T
-    shift = abs(_shannon_sum(_mub_table(rotated, 2)) - _shannon_sum(_mub_table(rho, 2)))
+    shift = abs(_shannon_sum(mub.born_table(rotated, _bases(2))) - _shannon_sum(mub.born_table(rho, _bases(2))))
     drift = abs(quantum.total_information(rotated) - quantum.total_information(rho))
     passed = q3 > 0.3 and q4 > 0.6 and shannon > 0.7 and shift > 0.01 and drift < 1e-9
     return passed, {"q3": q3, "q4": q4, "shannon": shannon, "shift": shift, "drift": drift}
+
+
+def _floor_slacks(rho):
+    """Bits above each floor for a state's Shannon entropies over build_mubs(n): the complete-set
+    collision floor -(n+1) log2((1 + Tr rho^2)/(n+1)), the pair floor log2 n + S (the two lowest
+    entropies make the lowest pair sum) and the log bound log2 n - S <= log2(n Tr rho^2)."""
+    n = rho.shape[0]
+    entropies = sorted(map(probability.shannon_entropy, mub.born_table(rho, _bases(n))))
+    purity, entropy = quantum.purity(rho), quantum.von_neumann_entropy(rho)
+    return (sum(entropies) + (n + 1) * math.log2((1.0 + purity) / (n + 1)),
+            entropies[0] + entropies[1] - math.log2(n) - entropy,
+            math.log2(n * purity) - (math.log2(n) - entropy))
+
+
+def _shannon_floors(n, i):
+    """Larsen's coincidence sum with H >= H_2 bounds the Shannon sum over a complete MUB set;
+    Maassen-Uffink with the entropy term (Berta et al. 2010) bounds every pair; S >= S_2."""
+    return _floor_slacks(quantum.random_density(n, seed=14_000 * n + i, rank=1 + i % n))
+
+
+def _shannon_floors_example():
+    """I/n meets all three floors. The basis-0 eigenstate meets the pair floor, but its Shannon sum
+    n log2 n stays above the collision floor (n+1) log2((n+1)/2) (Sanchez-Ruiz 1995)."""
+    dims = (2, 3, 5, 7)
+    mixed = max(abs(slack) for n in dims for slack in _floor_slacks(np.eye(n) / n))
+    eigen = [_floor_slacks(quantum.pure_state(np.eye(n)[0])) for n in dims]
+    pair = max(abs(slacks[1]) for slacks in eigen)
+    miss = max(abs(slacks[0] - n * math.log2(n) + (n + 1) * math.log2((n + 1) / 2.0))
+               for n, slacks in zip(dims, eigen))
+    passed = mixed < 1e-12 and pair < 1e-12 and miss < 1e-12
+    return passed, {"mixed": mixed, "pair": pair, "sums": "/".join(f"{slacks[0]:.3f}" for slacks in eigen)}
 
 
 def _two_qubit_example():
@@ -257,7 +284,7 @@ ALL_CHECKS = (
     Check("mub construction", "dims (2,3,5,7), max unbiasedness/orthogonality deviation = {}",
           _mub_construction, ("< 1e-12",), dims=(2, 3, 5, 7)),
     Check("grouping identity", "1000 seeded dists, max residual = {}; "
-          "H(1/2,1/3,1/6) = {lhs:.6f} vs split {rhs:.6f} (= 1.459148 +/- 1e-5)",
+          "H(1/2,1/3,1/6) = {lhs:.6f} vs split {rhs:.6f} (2/3 + log2(3)/2 = {exact:.10f} +/- 1e-12)",
           _grouping, ("< 1e-12",), count=1000, example=_grouping_example),
     Check("holevo bound", "200 ensemble/POVM pairs dims 2-3, max MI - chi = {}; "
           "|0>/|+>: chi = {chi:.10f} (h((1 + 1/sqrt2)/2) = {exact:.10f} +/- 1e-9), "
@@ -269,7 +296,7 @@ ALL_CHECKS = (
     Check("schur monotonicity", "500 seeded mixings, min H gain = {}, max I gain = {}",
           _schur, ("> -1e-12", "< 1e-12"), count=500),
     Check("coding windows", "20 seeded dists, k in (1,2,4) (and 8, 16 for 2 or 3 symbols), "
-          "every rate in [H, H + 1/k); typical_set((0.8,0.2), 10, 0.1).count = {count} (= 45)",
+          "every rate in [H, H + 1/k); typical_set((0.8,0.2), 10, 0.1).count = {count} (= C(10,2))",
           _coding, ("< 1",), count=20, example=_coding_example),
     Check("two-design sums", "50 states per dim in (2,3,5,7), max |sum p^2 - (1 + Tr rho^2)| over the "
           "MUBs and, scaled by 1/(n(n+1)), the n = 2, 3 SICs = {}, max qubit sum p^3 drift under rotation = {}; "
@@ -277,6 +304,12 @@ ALL_CHECKS = (
           "{shannon:.4f} bits (> 0.7); r=(0,0,0.9) rotated to the diagonal: Shannon sum shifts {shift:.4f} bits "
           "(> 0.01) while the quadratic total drifts {drift:.3e} (< 1e-9)",
           _two_design, ("< 1e-12", "< 1e-12"), dims=(2, 3, 5, 7), count=50, example=_two_design_example),
+    Check("shannon floors", "50 states per dim in (2,3,5,7), min bits above the complete-set collision floor "
+          "= {}, above the pair floor over every pair of bases = {}, min log2(n Tr rho^2) - (log2 n - S) = {}; "
+          "I/n: max |slack| = {mixed:.1e} (< 1e-12); basis-0 eigenstate: pair slack {pair:.1e} (< 1e-12), "
+          "collision-floor slack {sums} bits at n = 2/3/5/7 (n log2 n - (n+1) log2((n+1)/2) +/- 1e-12)",
+          _shannon_floors, ("> -1e-12", "> -1e-12", "> -1e-12"), dims=(2, 3, 5, 7), count=50,
+          example=_shannon_floors_example),
     Check("two-qubit questions", "xx/yy answers (+1,-1): fidelity with (|00>+|11>)/sqrt2 = "
           "{fidelity:.12f} (> 1 - 1e-9); splits {bell.individual:.2e}/{bell.correlation:.6f} "
           "and {product.individual:.6f}/{product.correlation:.6f} (0/1.5 and 1/0.5)",

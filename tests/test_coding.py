@@ -40,8 +40,10 @@ def brute_force_typical(probs, block_length, epsilon):
 class TestTypicalSet:
     def test_frozen_census(self):
         report = typical_set([0.8, 0.2], 10, 0.1)
-        assert report.count == 45
-        assert report.rate == pytest.approx(math.log2(45) / 10, abs=1e-12)
+        # per-letter surprise is -log2 0.8 + 0.2k for k letters of weight 0.2, and H = -log2 0.8 + 0.4:
+        # only the k = 2 sequences fall in the window
+        assert report.count == math.comb(10, 2)
+        assert report.rate == pytest.approx(math.log2(math.comb(10, 2)) / 10, abs=1e-12)
         assert report.rate == pytest.approx(0.549, abs=1e-3)
 
     def test_matches_brute_force(self):

@@ -210,7 +210,7 @@ def test_public_surface_is_pinned():
         "accessible_information", "apply_doubly_stochastic", "as_basis", "as_density",
         "as_distribution", "as_doubly_stochastic", "as_hermitian", "as_joint_distribution",
         "as_povm", "basis_projectors", "bloch_state", "bloch_vector", "block_question_rate",
-        "born_probabilities", "build_mubs", "conditional_entropy", "cq_ensemble",
+        "born_probabilities", "born_table", "build_mubs", "conditional_entropy", "cq_ensemble",
         "ensemble_from_json", "ensemble_to_json", "grouping_residual", "holevo_chi",
         "hs_distance", "hs_inner_product", "hyperplane_orthogonality", "info_split",
         "information_by_basis", "information_sum", "is_pure", "joint_distribution",

@@ -9,6 +9,7 @@ from quantinfo import (
     ValidationError,
     bloch_state,
     born_probabilities,
+    born_table,
     build_mubs,
     hs_distance,
     hyperplane_orthogonality,
@@ -357,6 +358,52 @@ class TestInformationSum:
         bases[1] = bases[1][:, :2]  # a 3x2 member
         with pytest.raises(ValidationError, match="mismatched dimensions"):
             information_sum(np.eye(3) / 3, bases)
+
+
+class TestBornTable:
+    """born_table is the per-basis loop of born_probabilities, read in one contraction."""
+
+    @staticmethod
+    def loop(rho, bases):
+        return np.array([born_probabilities(rho, u) for u in bases])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_bytes_equal_the_per_basis_loop(self, n):
+        bases = build_mubs(n)
+        for i in range(300):
+            rho = random_density(n, seed=15_000 * n + i, rank=1 + i % n)
+            table = born_table(rho, bases)
+            assert table.shape == (n + 1, n)
+            assert table.tobytes() == self.loop(rho, bases).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_information_by_basis_keeps_its_formula(self, n):
+        # the quadratic measure of each row of the loop's table, as information_by_basis computed it before
+        bases = build_mubs(n)
+        for i in range(50):
+            rho = random_density(n, seed=16_000 * n + i, rank=1 + i % n)
+            expected = ((self.loop(rho, bases) - 1.0 / n) ** 2).sum(axis=-1)
+            assert information_by_basis(rho, bases).tobytes() == expected.tobytes()
+            assert information_sum(rho, bases) == float(expected.sum())
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_reconstruct_inverts_it(self, n):
+        bases = build_mubs(n)
+        for i in range(50):
+            rho = random_density(n, seed=17_000 * n + i, rank=1 + i % n)
+            assert np.abs(reconstruct(born_table(rho, bases), bases) - rho).max() < 1e-12
+
+    def test_rejects_what_information_by_basis_rejects(self):
+        z = np.eye(2, dtype=complex)
+        qubit, qutrit = np.eye(2) / 2, np.eye(3) / 3
+        for rho, bases, message in (
+                (qubit, build_mubs(2)[:2], "a complete MUB set for dimension 2 has 3 bases"),
+                (qubit, [z, z[:, ::-1], build_mubs(2)[1]], "bases are not mutually unbiased: deviation "),
+                (qutrit, build_mubs(2), "bases are 2-dimensional but the state is 3-dimensional")):
+            for call in (born_table, information_by_basis):
+                with pytest.raises(ValidationError) as caught:
+                    call(rho, bases)
+                assert str(caught.value).startswith(message), call
 
 
 class TestReconstruction:

@@ -449,7 +449,7 @@ def test_scalar_parameters_reject_what_is_not_a_finite_real(call, message, value
 
 class TestShannonEntropy:
     def test_three_outcome_value(self):
-        assert shannon_entropy([0.5, 1 / 3, 1 / 6]) == pytest.approx(1.459148, abs=1e-5)
+        assert shannon_entropy([0.5, 1 / 3, 1 / 6]) == pytest.approx(2 / 3 + math.log2(3) / 2, abs=1e-12)
 
     def test_uniform_is_log_n(self):
         for n in (2, 3, 5, 8):
@@ -534,11 +534,11 @@ class TestQuadraticInformation:
 
 class TestGroupingResidual:
     def test_worked_instance_both_sides(self):
-        # H(1/2,1/3,1/6) = H(1/2,1/2) + (1/2) H(2/3,1/3), all equal to 1.459148
+        # H(1/2,1/3,1/6) = H(1/2,1/2) + (1/2) H(2/3,1/3), all equal to 2/3 + log2(3)/2
         lhs = shannon_entropy([0.5, 1 / 3, 1 / 6])
         rhs = shannon_entropy([0.5, 0.5]) + 0.5 * shannon_entropy([2 / 3, 1 / 3])
-        assert lhs == pytest.approx(1.459148, abs=1e-5)
-        assert rhs == pytest.approx(1.459148, abs=1e-5)
+        assert lhs == pytest.approx(2 / 3 + math.log2(3) / 2, abs=1e-12)
+        assert rhs == pytest.approx(2 / 3 + math.log2(3) / 2, abs=1e-12)
         assert grouping_residual([0.5, 1 / 3, 1 / 6]) == pytest.approx(0.0, abs=1e-12)
 
     def test_vanishes_on_seeded_distributions(self):
