@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .probability import TOL, _finite_scalar, _quadratic, _renormalize
 from .quantum import (
-    PAULIS, _as_matrices, _fix_column_phases, _trace_product, as_density, as_hermitian, pure_state)
+    PAULIS, _as_matrices, _fix_column_phases, _state_and, _trace_product, as_density, as_hermitian, pure_state)
 
 
 class InfoSplit(NamedTuple):
@@ -87,10 +87,7 @@ def proposition_information(rho, question) -> float:
 
     Zero when the answer is a coin flip, 1/2 when it is certain.
     """
-    state = as_density(rho)
-    q = as_hermitian(question)
-    if q.shape != state.shape:
-        raise ValidationError("question and state must have equal dimensions")
+    state, q = _state_and(rho, question, as_hermitian)
     if np.max(np.abs(q @ q - q)) > TOL:
         raise ValidationError("question must be a projector")
     return float(_quadratic(_renormalize(_trace_product(state, np.array((q, np.eye(len(q)) - q))))))

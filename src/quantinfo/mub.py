@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .probability import TOL, _as_array, _check_work, _clamp, _is_int, _memo, _quadratic, _renormalize, _spell
-from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, as_density
+from .quantum import _as_matrices, _born, _check_matrices, _fix_column_phases, _state_and
 
 
 class DeviationReport(NamedTuple):
@@ -95,21 +95,17 @@ def information_sum(rho, bases) -> float:
 def information_by_basis(rho, bases) -> np.ndarray:
     """Quadratic information of the outcome statistics in each basis of a complete MUB set.
 
-    The entries sum to information_sum(rho, bases).
+    The entries sum to information_sum(rho, bases). Each Born row is rescaled to unit sum but not clipped,
+    so a weight made negative by an eigenvalue inside as_density's window keeps the sum on Tr(rho - I/n)^2.
     """
-    return _quadratic(born_table(rho, bases))
+    born = _born(*_state_and(rho, bases, _complete_set))
+    return _quadratic(born / np.add.reduce(born, axis=-1, keepdims=True))
 
 
 def born_table(rho, bases) -> np.ndarray:
     """Outcome distributions of a state in each basis of a complete MUB set, one row per basis, in one
     contraction: an (n+1, n) table that reconstruct(born_table(rho, bases), bases) turns back into rho."""
-    state = as_density(rho)
-    checked = _complete_set(bases)
-    n = state.shape[0]
-    if checked.shape[1] != n:
-        raise ValidationError(
-            f"bases are {checked.shape[1]}-dimensional but the state is {n}-dimensional")
-    return _renormalize(_born(state, checked))
+    return _renormalize(_born(*_state_and(rho, bases, _complete_set)))
 
 
 def reconstruct(prob_lists, bases) -> np.ndarray:

@@ -114,7 +114,7 @@ def basis_projectors(basis) -> list[np.ndarray]:
 
 def born_probabilities(rho, basis) -> np.ndarray:
     """Outcome distribution p_i = <u_i|rho|u_i> of a projective measurement."""
-    return _renormalize(_born(*_state_and_basis(rho, basis)))
+    return _renormalize(_born(*_state_and(rho, basis, as_basis)))
 
 
 def luders_update(rho, basis) -> np.ndarray:
@@ -123,7 +123,7 @@ def luders_update(rho, basis) -> np.ndarray:
     Kills the off-diagonal blocks in the measured basis; measuring in an
     eigenbasis of rho leaves it unchanged.
     """
-    state, u = _state_and_basis(rho, basis)
+    state, u = _state_and(rho, basis, as_basis)
     return (u * _renormalize(_born(state, u))) @ u.conj().T
 
 
@@ -204,13 +204,14 @@ def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
 
 
-def _state_and_basis(rho, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a state and a measurement basis of the same dimension."""
-    state, u = as_density(rho), as_basis(basis)
-    if u.shape[0] != state.shape[0]:
+def _state_and(rho, measurement, check) -> tuple[np.ndarray, np.ndarray]:
+    """as_density(rho) and check(measurement) (as_basis, a complete MUB set's check or as_hermitian),
+    in that order, and the one test that the measurement acts on the state's dimension."""
+    state, checked = as_density(rho), check(measurement)
+    if checked.shape[-1] != state.shape[-1]:
         raise ValidationError(
-            f"basis dimension {u.shape[0]} does not match state dimension {state.shape[0]}")
-    return state, u
+            f"measurement is {checked.shape[-1]}-dimensional but the state is {state.shape[-1]}-dimensional")
+    return state, checked
 
 
 def _as_matrices(values, ndim: int, kind: str) -> np.ndarray:

@@ -263,9 +263,12 @@ def _two_qubit_example():
     bell_split = entangle.info_split(bell)
     product_split = entangle.info_split(entangle.joint_eigenstate(
         entangle.pauli_product("x", "x"), entangle.pauli_product("x", "1"), (1, 1)))
+    # A certain yes/no question carries (1 - 1/2)^2 + (0 - 1/2)^2 = 1/2, a coin flip 0. The Bell state answers
+    # xx, yy and zz with certainty and each spin alone at random: (0, 3 * 1/2). |++> answers spin 1 and spin 2
+    # along x and the xx correlation with certainty, and every other question at random: (2 * 1/2, 1/2).
     misses = (bell_split.individual, bell_split.correlation - 1.5,
               product_split.individual - 1.0, product_split.correlation - 0.5)
-    passed = fidelity > 1.0 - 1e-9 and all(abs(miss) < 1e-9 for miss in misses)
+    passed = fidelity > 1.0 - 1e-12 and all(abs(miss) < 1e-12 for miss in misses)
     return passed, {"fidelity": fidelity, "bell": bell_split, "product": product_split}
 
 
@@ -311,8 +314,8 @@ ALL_CHECKS = (
           _shannon_floors, ("> -1e-12", "> -1e-12", "> -1e-12"), dims=(2, 3, 5, 7), count=50,
           example=_shannon_floors_example),
     Check("two-qubit questions", "xx/yy answers (+1,-1): fidelity with (|00>+|11>)/sqrt2 = "
-          "{fidelity:.12f} (> 1 - 1e-9); splits {bell.individual:.2e}/{bell.correlation:.6f} "
-          "and {product.individual:.6f}/{product.correlation:.6f} (0/1.5 and 1/0.5)",
+          "{fidelity:.12f} (> 1 - 1e-12); splits {bell.individual:.2e}/{bell.correlation:.6f} "
+          "and {product.individual:.6f}/{product.correlation:.6f} (0/1.5 and 1/0.5 +/- 1e-12)",
           example=_two_qubit_example),
     Check("pure state totals", "5 pure states per dim in (2,3,5,7), "
           "max |Itot - (1 - 1/n)| = {}, max entropy = {}",

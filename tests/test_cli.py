@@ -22,8 +22,8 @@ import quantinfo
 import quantinfo.cli as cli_module
 from quantinfo import (
     ValidationError, as_distribution, bloch_state, born_table, build_mubs, cq_ensemble, ensemble_to_json,
-    pure_state, random_density, random_distribution, random_ensemble, smallest_eigenvalue, state_from_json,
-    state_to_json)
+    load_ensemble, pure_state, purity, random_basis, random_density, random_distribution, random_ensemble,
+    shannon_entropy, state_from_json, state_to_json)
 from quantinfo.cli import build_parser, run
 from quantinfo.entangle import InfoSplit
 from quantinfo.mub import DeviationReport
@@ -450,16 +450,11 @@ class TestMubCommands:
 
 
 def mub_sum_payload(*argv):
-    """mub-sum --json on a source; its per-basis terms add up to its sum, which meets Tr(rho - I/n)^2.
-
-    A state inside the eigenvalue window but indefinite loses its negative Born weights to the row
-    repair, which moves the sum by up to twice the negative eigenvalue (see the strict xfail below).
-    """
+    """mub-sum --json on a source; its per-basis terms add up to its sum, which meets Tr(rho - I/n)^2."""
     code, out, err = run_quietly("mub-sum", *argv, "--json")
     assert (code, err) == (0, ""), argv
     payload = strict_json(out)
-    negative = max(0.0, -smallest_eigenvalue(state_from_json(payload["state"])))
-    assert payload["difference"] <= TOL + 2.0 * negative
+    assert payload["difference"] <= TOL
     assert float(np.sum(payload["per_basis"])) == payload["sum"]
     return payload
 
@@ -475,9 +470,18 @@ def bloch_argv(r):
     return [f"--bloch={','.join(map(repr, map(float, r)))}"]
 
 
-def state_file_argv(directory, n, seed, rank):
-    path = directory / f"state_{n}_{seed}_{rank}.json"
-    path.write_text(json.dumps(state_to_json(random_density(n, seed=seed, rank=rank))))
+def generated_state(n, seed, rank, window=0.0):
+    """random_density(n, seed, rank), or for window > 0 diag(1 + window, 0, ..., -window), Haar-rotated for
+    an odd seed, whose eigenvalue -window as_density accepts up to TOL."""
+    if not window:
+        return random_density(n, seed=seed, rank=rank)
+    u = random_basis(n, seed=seed) if seed % 2 else np.eye(n)
+    return u @ np.diag([1.0 + window, *[0.0] * (n - 2), -window]) @ u.conj().T
+
+
+def state_file_argv(directory, n, seed, rank, window=0.0):
+    path = directory / f"state_{n}_{seed}_{rank}_{window!r}.json"
+    path.write_text(json.dumps(state_to_json(generated_state(n, seed, rank, window))))
     return ["--state", str(path)]
 
 
@@ -502,6 +506,7 @@ def reconstruct_text(payload):
 directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.0)
 bloch_lengths = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1.0, 1.0 + 5e-10, 1.0 + TOL]))
 seeds, ranks = st.integers(0, 2**20), st.integers(0, 6)  # a state of dimension n has rank 1 + r % n
+windows = st.sampled_from([0.0, TOL / 2, 0.999 * TOL])  # the negative eigenvalue of a generated state
 
 
 class TestMubPropertiesThroughTheCli:
@@ -515,9 +520,9 @@ class TestMubPropertiesThroughTheCli:
         mub_sum_payload(*bloch_argv(r))
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.sampled_from([3, 5, 7]), seed=seeds, rank=ranks)
-    def test_mub_sum_state_file(self, tmp_path_factory, n, seed, rank):
-        mub_sum_payload(*state_file_argv(tmp_path_factory.getbasetemp(), n, seed, 1 + rank % n))
+    @given(n=st.sampled_from([3, 5, 7]), seed=seeds, rank=ranks, window=windows)
+    def test_mub_sum_state_file(self, tmp_path_factory, n, seed, rank, window):
+        mub_sum_payload(*state_file_argv(tmp_path_factory.getbasetemp(), n, seed, 1 + rank % n, window))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.sampled_from([2, 3, 5]), seed=seeds, rank=ranks)
@@ -525,9 +530,8 @@ class TestMubPropertiesThroughTheCli:
         rho, probs = exact_statistics(n, seed, 1 + rank % n)
         assert np.abs(state_from_json(reconstruct_payload(probs)["state"]) - rho).max() <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="Born rows of an indefinite state are repaired before I is taken")
     def test_mub_sum_meets_tol_at_the_bloch_window_edge(self):
-        # |r| = 1 + TOL is accepted; the sum reads 0.5 while Tr(rho - I/2)^2 = |r|^2/2
+        # |r| = 1 + TOL is accepted with an eigenvalue of -TOL/2; the sum still meets Tr(rho - I/2)^2 = |r|^2/2
         _, out, _ = run_quietly("mub-sum", *bloch_argv((0.0, 0.0, 1.0 + TOL)), "--json")
         assert strict_json(out)["difference"] <= TOL
 
@@ -537,6 +541,108 @@ class TestMubPropertiesThroughTheCli:
         _, probs = exact_statistics(5, 22, 2)
         assert run_quietly("reconstruct", f"--probs={probs}") == (
             0, "\n".join(reconstruct_text(reconstruct_payload(probs))) + "\n", "")
+
+
+def itot_payload(*argv):
+    """itot --json on a source: total information is purity - 1/n bit for bit, and purity lies where the
+    eigenvalue window allows. A unit-trace state has Tr rho^2 >= (Tr rho)^2 / n = 1/n; with every eigenvalue
+    at least -TOL, the convex Tr rho^2 peaks at a vertex, one eigenvalue 1 + (n - 1) TOL and the rest -TOL."""
+    code, out, err = run_quietly("itot", *argv, "--json")
+    assert (code, err) == (0, ""), argv
+    payload = strict_json(out)
+    n = payload["state"]["dim"]
+    assert payload["total_information"] == payload["purity"] - 1.0 / n
+    assert 1.0 / n - 1e-15 <= payload["purity"] <= (1.0 + (n - 1) * TOL) ** 2 + (n - 1) * TOL ** 2 + 1e-15
+    return payload
+
+
+def itot_text(payload):
+    return [f"dim = {payload['state']['dim']}", f"purity = {payload['purity']:.6f}",
+            f"total information = {payload['total_information']:.6f}"]
+
+
+def ensemble_file_argv(directory, n, seed, ranks, window):
+    """An ensemble file of len(ranks) letters with Dirichlet priors; letter i is generated_state(n, seed + i,
+    1 + ranks[i] % n, window), so a window puts a negative eigenvalue in every letter."""
+    priors = np.random.default_rng(seed).dirichlet(np.ones(len(ranks)))
+    states = [generated_state(n, seed + i, 1 + r % n, window) for i, r in enumerate(ranks)]
+    path = directory / f"ensemble_{n}_{seed}_{'_'.join(map(str, ranks))}_{window!r}.json"
+    path.write_text(json.dumps(ensemble_to_json(cq_ensemble(priors, states))))
+    return ["--ensemble", str(path)]
+
+
+def holevo_payload(n, *argv):
+    """holevo --json on an ensemble file of dimension n: -TOL <= chi <= min(H(priors), log2 n) + TOL, and the
+    specification information is H(priors)."""
+    code, out, err = run_quietly("holevo", *argv, "--json")
+    assert (code, err) == (0, ""), argv
+    payload = strict_json(out)
+    entropy = shannon_entropy(load_ensemble(argv[-1]).priors)
+    assert payload["specification_information"] == entropy
+    assert -TOL <= payload["holevo_chi"] <= min(entropy, math.log2(n)) + TOL
+    return payload
+
+
+def holevo_text(n, payload):
+    return [f"letters: {', '.join(payload['letters'])} (dim {n})",
+            f"specification information = {payload['specification_information']:.6f} bits",
+            f"Holevo chi = {payload['holevo_chi']:.6f} bits"]
+
+
+def questions(payload):
+    return payload["individual_terms"] + payload["correlation_terms"]
+
+
+def entangle_payload(*argv):
+    """entangle --json on a state file: each question carries at most 1/2, and the nine carry at most the
+    2(Tr rho^2 - 1/4) that all fifteen Pauli questions carry together."""
+    code, out, err = run_quietly("entangle", *argv, "--json")
+    assert (code, err) == (0, ""), argv
+    payload = strict_json(out)
+    assert all(value <= 0.5 + 1e-15 for _, value in questions(payload))
+    ceiling = 2.0 * (purity(state_from_json(payload["state"])) - 0.25)
+    assert payload["individual"] + payload["correlation"] <= ceiling + TOL
+    return payload
+
+
+def entangle_text(payload):
+    return [*(f"{label}: I = {value:.6f}" for label, value in questions(payload)),
+            f"individual total  = {payload['individual']:.6f}",
+            f"correlation total = {payload['correlation']:.6f}"]
+
+
+class TestStatePropertiesThroughTheCli:
+    """Generated accepted inputs of itot, holevo and entangle --state, each through cli.run --json."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(direction=directions, length=bloch_lengths)
+    def test_itot_bloch(self, direction, length):
+        r = np.array(direction) / np.linalg.norm(direction) * length
+        assume(np.linalg.norm(r) <= 1.0 + TOL)  # a length of 1 + TOL can round past the window
+        itot_payload(*bloch_argv(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 7), seed=seeds, rank=ranks, window=windows)
+    def test_itot_state_file(self, tmp_path_factory, n, seed, rank, window):
+        itot_payload(*state_file_argv(tmp_path_factory.getbasetemp(), n, seed, 1 + rank % n, window))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 4), seed=seeds, ranks=st.lists(ranks, min_size=1, max_size=6), window=windows)
+    def test_holevo(self, tmp_path_factory, n, seed, ranks, window):
+        holevo_payload(n, *ensemble_file_argv(tmp_path_factory.getbasetemp(), n, seed, ranks, window))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=seeds, rank=ranks, window=windows)
+    def test_entangle_state_file(self, tmp_path_factory, seed, rank, window):
+        entangle_payload(*state_file_argv(tmp_path_factory.getbasetemp(), 4, seed, 1 + rank % 4, window))
+
+    def test_text_prints_the_json_values(self, tmp_path):
+        for argv in (bloch_argv((0.6, -0.0, -0.8)), state_file_argv(tmp_path, 5, 23, 2, TOL / 2)):
+            assert run_quietly("itot", *argv) == (0, "\n".join(itot_text(itot_payload(*argv))) + "\n", "")
+        argv = ensemble_file_argv(tmp_path, 3, 24, [0, 1, 2], 0.0)
+        assert run_quietly("holevo", *argv) == (0, "\n".join(holevo_text(3, holevo_payload(3, *argv))) + "\n", "")
+        argv = state_file_argv(tmp_path, 4, 25, 2)
+        assert run_quietly("entangle", *argv) == (0, "\n".join(entangle_text(entangle_payload(*argv))) + "\n", "")
 
 
 class TestChannelCommands:

@@ -3,7 +3,8 @@
 The public functions validate their inputs once; the kernels behind them
 (_born, _spectrum, _joint) reject nothing. _born returns raw Born weights;
 the others, and every caller that forms a distribution from _born or from
-_trace_product, zero rounding negatives and rescale rows. These tests pin that split:
+_trace_product, zero rounding negatives and rescale rows; information_by_basis alone rescales
+without zeroing, so its sum keeps its identity. These tests pin that split:
 inputs every validator accepts must come out as clean distributions, and no
 kernel may call the boundary clamp again.
 """
@@ -136,6 +137,28 @@ def test_one_born_contraction():
                 and call.args[0].value.partition("->")[0].count(",") == 2)
 
     assert call_sites(three_operands) == (2, [("mub", "reconstruct"), ("quantum", "_born")])
+
+
+STATE_AND_CALLERS = {
+    ("quantum", "born_probabilities"),
+    ("quantum", "luders_update"),
+    ("mub", "born_table"),
+    ("mub", "information_by_basis"),
+    ("entangle", "proposition_information"),
+}
+
+
+def test_one_dimension_check():
+    # a state and its measurement are paired in quantum._state_and alone, which forms the one mismatch message
+    def forms_message(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and "but the state is" in node.value
+
+    def pairs(call):
+        return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_state_and"
+
+    assert call_sites(forms_message) == (1, [("quantum", "_state_and")])
+    count, sites = call_sites(pairs)
+    assert (count, set(sites)) == (len(STATE_AND_CALLERS), STATE_AND_CALLERS)
 
 
 def test_one_eigenspace_step():

@@ -258,6 +258,19 @@ class TestInformationSum:
                 assert information_sum(rho, bases) == pytest.approx(
                     total_information(rho), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_meets_total_information_inside_the_eigenvalue_window(self, n):
+        # diag(1 + t, 0, ..., -t) passes as_density for t <= TOL, and so does each rotated copy; its negative
+        # Born weights are kept, so the sum stays on Tr(rho - I/n)^2 (clipping them moved it by up to 2t)
+        bases = build_mubs(n)
+        for t in (TOL / 2, 0.999 * TOL):
+            window = np.diag([1.0 + t, *[0.0] * (n - 2), -t]).astype(complex)
+            for i in range(11):
+                u = random_basis(n, seed=18_000 * n + i) if i else np.eye(n)
+                rho = u @ window @ u.conj().T
+                assert smallest_eigenvalue(rho) < -t / 2
+                assert abs(information_sum(rho, bases) - total_information(rho)) <= 1e-14
+
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
     def test_equals_sum_of_per_basis_terms(self, n):
         bases = build_mubs(n)
@@ -399,7 +412,7 @@ class TestBornTable:
         for rho, bases, message in (
                 (qubit, build_mubs(2)[:2], "a complete MUB set for dimension 2 has 3 bases"),
                 (qubit, [z, z[:, ::-1], build_mubs(2)[1]], "bases are not mutually unbiased: deviation "),
-                (qutrit, build_mubs(2), "bases are 2-dimensional but the state is 3-dimensional")):
+                (qutrit, build_mubs(2), "measurement is 2-dimensional but the state is 3-dimensional")):
             for call in (born_table, information_by_basis):
                 with pytest.raises(ValidationError) as caught:
                     call(rho, bases)

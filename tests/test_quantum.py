@@ -18,9 +18,12 @@ from quantinfo import (
     bloch_state,
     bloch_vector,
     born_probabilities,
+    born_table,
     build_mubs,
     hs_distance,
     hs_inner_product,
+    information_by_basis,
+    information_sum,
     is_pure,
     joint_eigenstate,
     luders_update,
@@ -474,6 +477,29 @@ class TestLudersUpdate:
             rho = random_density(n, seed=2300 + i)
             basis = random_basis(n, seed=2400 + i)
             assert majorizes(spectrum(rho), spectrum(luders_update(rho, basis)))
+
+
+# a valid qubit measurement of each kind, an invalid one and the invalid one's own message
+BASIS_CASE = (np.eye(2), np.ones((2, 2)), "basis columns are not orthonormal within tolerance")
+MUB_SET_CASE = (build_mubs(2), build_mubs(2)[:2], "a complete MUB set for dimension 2 has 3 bases")
+QUESTION_CASE = (np.diag([1.0, 0.0]), [[0.0, 1.0], [0.0, 0.0]], "matrix is not Hermitian within tolerance")
+STATE_AND_MEASUREMENT = [(born_probabilities, BASIS_CASE), (luders_update, BASIS_CASE), (born_table, MUB_SET_CASE),
+                         (information_by_basis, MUB_SET_CASE), (information_sum, MUB_SET_CASE),
+                         (proposition_information, QUESTION_CASE)]
+
+
+@pytest.mark.parametrize("call, case", STATE_AND_MEASUREMENT, ids=[call.__name__ for call, _ in STATE_AND_MEASUREMENT])
+def test_a_state_and_its_measurement_are_checked_in_one_order(call, case):
+    # the state first, then the measurement, then one dimension test with one message
+    qubit_measurement, bad_measurement, message = case
+    qutrit = np.eye(3) / 3
+    for rho, measurement, expected in (
+            (qutrit, qubit_measurement, "measurement is 2-dimensional but the state is 3-dimensional"),
+            (qutrit, bad_measurement, message),
+            (np.eye(3), bad_measurement, "trace is 3.0, not 1")):
+        with pytest.raises(ValidationError) as caught:
+            call(rho, measurement)
+        assert str(caught.value) == expected
 
 
 class TestSpectrumAndEntropy:
